@@ -2,8 +2,11 @@
 //   (a) which bound side matters — quadratic lower only, quadratic upper
 //       only, or both (hybrids of QUAD and KARL);
 //   (b) kd-tree leaf size;
-//   (c) the trivial-bound safety clamp.
-// Reported as εKDV frame time on the home analogue, ε = 0.01.
+//   (c) the trivial-bound safety clamp;
+//   (d) τKDV granularity: per-pixel refinement vs tile-shared chunks that
+//       QUAD region bounds decide wholesale.
+// Reported as εKDV (τKDV for (d)) frame time on the home analogue,
+// ε = 0.01.
 #include <cstdio>
 #include <memory>
 
@@ -99,7 +102,7 @@ int main() {
     }
   }
 
-  // (d) τKDV granularity: per-pixel vs block-level certification.
+  // (d) τKDV granularity: per-pixel vs tile-shared (chunk-level) decisions.
   {
     Workbench bench(PointSet(points), KernelType::kGaussian);
     PixelGrid grid = kdv_bench::MakeGrid(bench.data_bounds());
@@ -107,15 +110,20 @@ int main() {
     MeanStd density = EstimateDensityStats(quad, grid, /*stride=*/8);
 
     std::printf("\n(d) τKDV granularity (QUAD, tau=mu)\n");
-    std::printf("%-18s %10s %16s\n", "mode", "time(s)", "pixel evals");
-    BatchStats per_pixel;
-    RenderTauFrame(quad, grid, density.mean, &per_pixel);
-    std::printf("%-18s %10.3f %16llu\n", "per-pixel", per_pixel.seconds,
-                static_cast<unsigned long long>(per_pixel.queries));
-    BlockTauStats blocked;
-    RenderTauFrameBlocked(quad, grid, density.mean, &blocked);
-    std::printf("%-18s %10.3f %16llu\n", "block-certified", blocked.seconds,
-                static_cast<unsigned long long>(blocked.pixel_evaluations));
+    std::printf("%-18s %10s %16s %14s\n", "mode", "time(s)",
+                "refined pixels", "tiles decided");
+    for (bool tile_shared : {false, true}) {
+      RenderOptions options;
+      options.tile_shared = tile_shared;
+      BatchStats stats;
+      RenderTauFrameParallel(quad, grid, density.mean, options, nullptr,
+                             QueryControl(), &stats);
+      std::printf("%-18s %10.3f %16llu %14llu\n",
+                  tile_shared ? "tile-shared" : "per-pixel", stats.seconds,
+                  static_cast<unsigned long long>(stats.queries -
+                                                  stats.pixels_decided),
+                  static_cast<unsigned long long>(stats.tiles_decided));
+    }
   }
 
   // (c) Safety clamp on/off.

@@ -26,6 +26,24 @@ kdv::PointSet RandomQueries(const kdv::PointSet& data, int count,
   return queries;
 }
 
+// Queries per second of εKDV (or of the exact scan when eps <= 0) over
+// `queries`. Pixel frames go through the frame renderers; these are
+// d-dimensional point queries, so the loop is local.
+double QueriesPerSec(const kdv::KdeEvaluator& evaluator,
+                     const kdv::PointSet& queries, double eps) {
+  kdv::BatchStats stats;
+  kdv::Timer timer;
+  for (const kdv::Point& q : queries) {
+    if (eps > 0.0) {
+      kdv::AccumulateQueryStats(&stats, evaluator.EvaluateEps(q, eps));
+    } else {
+      evaluator.EvaluateExact(q);
+      ++stats.queries;
+    }
+  }
+  return stats.queries / std::max(timer.ElapsedSeconds(), 1e-9);
+}
+
 }  // namespace
 
 int main() {
@@ -67,18 +85,12 @@ int main() {
                                        1000 + d);
 
       double qps[4];
-      {
-        KdeEvaluator scan = bench.MakeEvaluator(Method::kExact);
-        BatchStats stats;
-        RunExactBatch(scan, queries, &stats);
-        qps[0] = stats.queries / std::max(stats.seconds, 1e-9);
-      }
+      qps[0] = QueriesPerSec(bench.MakeEvaluator(Method::kExact), queries,
+                             /*eps=*/0.0);
       const Method methods[] = {Method::kAkde, Method::kKarl, Method::kQuad};
       for (int i = 0; i < 3; ++i) {
-        KdeEvaluator evaluator = bench.MakeEvaluator(methods[i]);
-        BatchStats stats;
-        RunEpsBatch(evaluator, queries, eps, &stats);
-        qps[i + 1] = stats.queries / std::max(stats.seconds, 1e-9);
+        qps[i + 1] = QueriesPerSec(bench.MakeEvaluator(methods[i]), queries,
+                                   eps);
       }
       std::printf("%-6d %12.1f %12.1f %12.1f %12.1f\n", d, qps[0], qps[1],
                   qps[2], qps[3]);

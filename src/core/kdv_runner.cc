@@ -1,8 +1,5 @@
 #include "core/kdv_runner.h"
 
-#include "util/check.h"
-#include "util/failpoint.h"
-
 namespace kdv {
 
 void AccumulateQueryStats(BatchStats* stats, const EvalResult& r) {
@@ -23,159 +20,19 @@ void AccumulateQueryStats(BatchStats* stats, const TauResult& r) {
   if (r.numeric_fault) ++stats->numeric_faults;
 }
 
-namespace {
-
-// Records why a batch stopped early. `reason` may be kNone when the stop was
-// detected inside a query (the control is re-polled by the caller).
-void MarkStopped(BatchStats* stats, StopReason reason) {
-  if (stats == nullptr) return;
-  stats->completed = false;
-  if (reason == StopReason::kDeadline) stats->deadline_expired = true;
-  if (reason == StopReason::kCancel) stats->cancelled = true;
-}
-
-// Handles an injected (failpoint) error at a batch site. Returns true when
-// the batch must abort.
-bool InjectedFault(const Status& status, BatchStats* stats) {
-  if (status.ok()) return false;
-  if (stats != nullptr) {
-    stats->completed = false;
-    stats->status = status;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                const QueryControl& control,
-                                BatchStats* stats) {
-  std::vector<double> out(queries.size(), 0.0);
-  Timer timer;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    StopReason stop = control.CheckStop();
-    if (stop != StopReason::kNone) {
-      MarkStopped(stats, stop);
-      break;
-    }
-    if (InjectedFault(KDV_FAILPOINT_STATUS("runner.eps"), stats)) break;
-    EvalResult r = evaluator.EvaluateEps(queries[i], eps, control);
-    out[i] = r.estimate;
-    AccumulateQueryStats(stats, r);
-    if (r.interrupted) {
-      MarkStopped(stats, control.CheckStop());
-      break;
-    }
-  }
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                BatchStats* stats) {
-  return RunEpsBatch(evaluator, queries, eps, QueryControl(), stats);
-}
-
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 const QueryControl& control,
-                                 BatchStats* stats) {
-  std::vector<uint8_t> out(queries.size(), 0);
-  Timer timer;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    StopReason stop = control.CheckStop();
-    if (stop != StopReason::kNone) {
-      MarkStopped(stats, stop);
-      break;
-    }
-    if (InjectedFault(KDV_FAILPOINT_STATUS("runner.tau"), stats)) break;
-    TauResult r = evaluator.EvaluateTau(queries[i], tau, control);
-    out[i] = r.above_threshold ? 1 : 0;
-    AccumulateQueryStats(stats, r);
-    if (r.interrupted) {
-      MarkStopped(stats, control.CheckStop());
-      break;
-    }
-  }
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 BatchStats* stats) {
-  return RunTauBatch(evaluator, queries, tau, QueryControl(), stats);
-}
-
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries,
-                                  const QueryControl& control,
-                                  BatchStats* stats) {
-  std::vector<double> out(queries.size(), 0.0);
-  Timer timer;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    StopReason stop = control.CheckStop();
-    if (stop != StopReason::kNone) {
-      MarkStopped(stats, stop);
-      break;
-    }
-    if (InjectedFault(KDV_FAILPOINT_STATUS("runner.exact"), stats)) break;
-    out[i] = evaluator.EvaluateExact(queries[i]);
-    if (stats != nullptr) {
-      ++stats->queries;
-      stats->points_scanned += evaluator.tree().num_points();
-    }
-  }
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries, BatchStats* stats) {
-  return RunExactBatch(evaluator, queries, QueryControl(), stats);
-}
-
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     const QueryControl& control, std::vector<double>* out,
-                     BatchStats* stats) {
-  KDV_CHECK(out != nullptr);
-  KDV_CHECK(out->size() == queries.size());
-  Timer timer;
-  size_t evaluated = 0;
-  // The control is polled per query here, and at iteration granularity
-  // inside each εKDV evaluation: a single query is no longer the minimum
-  // unit of overrun.
-  for (uint32_t idx : order) {
-    StopReason stop = control.CheckStop();
-    if (stop != StopReason::kNone) {
-      MarkStopped(stats, stop);
-      break;
-    }
-    if (InjectedFault(KDV_FAILPOINT_STATUS("runner.eps"), stats)) break;
-    KDV_DCHECK(idx < queries.size());
-    EvalResult r = evaluator.EvaluateEps(queries[idx], eps, control);
-    (*out)[idx] = r.estimate;
-    ++evaluated;
-    AccumulateQueryStats(stats, r);
-    if (r.interrupted) {
-      MarkStopped(stats, control.CheckStop());
-      break;
-    }
-  }
-  if (stats != nullptr) stats->seconds = timer.ElapsedSeconds();
-  return evaluated;
-}
-
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     Deadline* deadline, std::vector<double>* out,
-                     BatchStats* stats) {
-  QueryControl control;
-  control.deadline = deadline;
-  return RunEpsOrdered(evaluator, queries, order, eps, control, out, stats);
+void AddWorkCounters(const BatchStats& from, BatchStats* into) {
+  into->queries += from.queries;
+  into->iterations += from.iterations;
+  into->points_scanned += from.points_scanned;
+  into->nodes_visited += from.nodes_visited;
+  into->numeric_faults += from.numeric_faults;
+  into->tile_nodes_visited += from.tile_nodes_visited;
+  into->tile_accepted += from.tile_accepted;
+  into->tile_pruned += from.tile_pruned;
+  into->tiles_decided += from.tiles_decided;
+  into->pixels_decided += from.pixels_decided;
+  into->frontier_cache_hits += from.frontier_cache_hits;
+  into->tile_seconds += from.tile_seconds;
 }
 
 }  // namespace kdv

@@ -1,102 +1,59 @@
-// Batch drivers: εKDV / τKDV / exact KDV over a set of query points.
-//
-// Benchmarks and the visualization layers all funnel through these, so
-// timing and work accounting are measured uniformly across methods. Every
-// batch accepts an optional QueryControl carrying a per-request Deadline and
-// a shared CancelToken; stops are cooperative at per-query granularity (and,
-// for the bound-refining batches, at iteration granularity inside a query).
+// Work and timing accounting for a run of KDV queries (a frame, a tile, a
+// benchmark's query loop). The frame renderers (viz/parallel_render.h) are
+// the one pixel loop over a grid; they and every other query loop record
+// per-query work through AccumulateQueryStats and merge partial runs with
+// AddWorkCounters, so what is counted cannot drift between callers.
 #ifndef QUADKDV_CORE_KDV_RUNNER_H_
 #define QUADKDV_CORE_KDV_RUNNER_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/evaluator.h"
-#include "geom/point.h"
-#include "util/cancel.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace kdv {
 
-// Aggregate work/timing statistics of one batch run.
+// Aggregate work/timing statistics of one run.
 struct BatchStats {
   double seconds = 0.0;
   uint64_t queries = 0;           // queries actually evaluated
   uint64_t iterations = 0;        // total refinement steps
   uint64_t points_scanned = 0;    // total exact point evaluations
   uint64_t nodes_visited = 0;     // per-pixel node bound evaluations
-  bool completed = true;          // false if the batch was cut short
+  bool completed = true;          // false if the run was cut short
   bool deadline_expired = false;  // cut short by the per-request deadline
   bool cancelled = false;         // cut short by the CancelToken
   uint64_t numeric_faults = 0;    // queries clamped by numerical hardening
 
   // Shared-traversal (tile-shared) pruning-efficiency counters, populated by
-  // the parallel frame renderer when RenderOptions::tile_shared is on.
+  // the frame renderer when RenderOptions::tile_shared is on.
   uint64_t tile_nodes_visited = 0;   // region bound evaluations (tile passes)
   uint64_t tile_accepted = 0;        // nodes folded into tile baselines
   uint64_t tile_pruned = 0;          // subtrees discarded tile-wide
   uint64_t tiles_decided = 0;        // tiles finished with zero per-pixel work
+  uint64_t pixels_decided = 0;       // pixels those tiles filled (in queries)
   uint64_t frontier_cache_hits = 0;  // frames served from a cached frontier
   // Time inside tile region passes, summed across tiles (CPU seconds, not
   // wall time; measured through the clock seam, so 0 under the simulator's
   // virtual clock). Feeds the tile_pass trace stage and obs histograms.
   double tile_seconds = 0.0;
   // Non-OK when an internal fault (e.g. an injected failpoint error) aborted
-  // the batch; the partial outputs written so far remain valid.
+  // the run; the partial outputs written so far remain valid.
   Status status = OkStatus();
 };
 
 // Adds one query's work accounting (query count, iterations, points
-// scanned, numeric faults) to *stats. No-op when stats == nullptr. The
-// single place batch drivers — serial and parallel — record per-query work,
-// so the two result types can never drift apart in what they count.
+// scanned, node evaluations, numeric faults) to *stats. No-op when
+// stats == nullptr. The single place query loops record per-query work, so
+// the two result types can never drift apart in what they count.
 void AccumulateQueryStats(BatchStats* stats, const EvalResult& r);
 void AccumulateQueryStats(BatchStats* stats, const TauResult& r);
 
-// εKDV over `queries`; out[i] is the (1±eps)-approximate density of
-// queries[i]. `stats` may be nullptr. Entries not reached before a stop
-// keep 0.0.
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                const QueryControl& control,
-                                BatchStats* stats);
-std::vector<double> RunEpsBatch(const KdeEvaluator& evaluator,
-                                const PointSet& queries, double eps,
-                                BatchStats* stats);
-
-// τKDV over `queries`; out[i] is 1 iff F_P(queries[i]) >= tau.
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 const QueryControl& control,
-                                 BatchStats* stats);
-std::vector<uint8_t> RunTauBatch(const KdeEvaluator& evaluator,
-                                 const PointSet& queries, double tau,
-                                 BatchStats* stats);
-
-// Exact KDV (sequential scan per query). Stops are per-query: one exact
-// scan is the smallest unit of interruption for this method.
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries,
-                                  const QueryControl& control,
-                                  BatchStats* stats);
-std::vector<double> RunExactBatch(const KdeEvaluator& evaluator,
-                                  const PointSet& queries, BatchStats* stats);
-
-// Deadline/cancellation-aware εKDV in a caller-chosen evaluation order:
-// evaluates queries[order[k]] for k = 0,1,... until a stop condition fires,
-// writing results into (*out)[order[k]]. Entries not reached keep their
-// prior value. Returns the number of queries evaluated. Used by the
-// progressive framework (§6) and its EXACT/sampling competitors.
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     const QueryControl& control, std::vector<double>* out,
-                     BatchStats* stats);
-// Back-compat shim: deadline-only control.
-size_t RunEpsOrdered(const KdeEvaluator& evaluator, const PointSet& queries,
-                     const std::vector<uint32_t>& order, double eps,
-                     Deadline* deadline, std::vector<double>* out,
-                     BatchStats* stats);
+// Adds every work counter of `from` (query, iteration, scan, node and
+// tile-pass counts, numeric faults, cache hits, tile_seconds) to *into.
+// Completion flags, status and wall-clock `seconds` are left alone: how runs
+// combine those is the caller's decision.
+void AddWorkCounters(const BatchStats& from, BatchStats* into);
 
 }  // namespace kdv
 

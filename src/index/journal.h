@@ -1,13 +1,13 @@
 // Append-only update journal for dynamic KDV point streams.
 //
-// A dynamic deployment (live crime feeds, sensor streams — see
-// dynamic/dynamic_kdv.h) applies insert/remove batches continuously.
-// Rebuilding and re-persisting the whole index per batch would dominate, so
-// durability comes from a write-ahead journal instead: every batch is
-// CRC-framed and fsynced into the current segment before it is
-// acknowledged, and a periodic checkpoint (serve/recovery_manager.h) folds
-// the accumulated segments into a fresh checksummed index, committed by an
-// atomic manifest flip (index/manifest.h).
+// A dynamic deployment (live crime feeds, sensor streams) applies
+// insert/remove batches continuously. Rebuilding and re-persisting the
+// whole index per batch would dominate, so durability comes from a
+// write-ahead journal instead: every batch is CRC-framed and fsynced into
+// the current segment before it is acknowledged, and a periodic checkpoint
+// (serve/recovery_manager.h) folds the accumulated segments into a fresh
+// checksummed index, committed by an atomic manifest flip
+// (index/manifest.h).
 //
 // On-disk layout, rooted at a wal directory:
 //

@@ -23,7 +23,6 @@
 #include "core/kdv_runner.h"
 #include "data/datasets.h"
 #include "data/validate.h"
-#include "dynamic/dynamic_kdv.h"
 #include "geom/morton.h"
 #include "geom/point.h"
 #include "geom/rect.h"
@@ -69,12 +68,10 @@
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
-#include "viz/block_tau.h"
 #include "viz/color_map.h"
 #include "viz/frame.h"
 #include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 #endif  // QUADKDV_QUADKDV_H_

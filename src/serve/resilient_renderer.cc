@@ -313,13 +313,9 @@ RenderOutcome ResilientRenderer::Render(
   }
   RenderObs::Get().refinement_seconds->Record(prog_seconds);
   outcome.stats = prog.stats;
-  if (tried_parallel) {
-    // Work spent in the abandoned parallel attempt still counts.
-    outcome.stats.queries += parallel_stats.queries;
-    outcome.stats.iterations += parallel_stats.iterations;
-    outcome.stats.points_scanned += parallel_stats.points_scanned;
-    outcome.stats.numeric_faults += parallel_stats.numeric_faults;
-  }
+  // Work spent in the abandoned tiled attempt (including its tile pass and
+  // any frontier-cache hit) still counts.
+  if (tried_parallel) AddWorkCounters(parallel_stats, &outcome.stats);
   outcome.numeric_faults += prog.numeric_faults;
   outcome.deadline_expired |= prog.deadline_expired;
   outcome.cancelled |= prog.cancelled;

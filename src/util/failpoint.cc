@@ -80,9 +80,9 @@ const std::vector<std::string>& AllSites() {
       "refine.step",         // RefinementStream::Step child-bound math
       "eval.eps",            // KdeEvaluator::RefineEps result interval
       "eval.tau",            // KdeEvaluator::EvaluateTau result interval
-      "runner.eps",          // RunEpsBatch / RunEpsOrdered per-query
-      "runner.tau",          // RunTauBatch per-query
-      "runner.exact",        // RunExactBatch per-query
+      "runner.eps",          // εKDV frame render, per pixel / chunk
+      "runner.tau",          // τKDV frame render, per pixel / chunk
+      "runner.exact",        // exact frame render, per pixel
       "progressive.render",  // RenderProgressive entry
       "progressive.op",      // RenderProgressive per-region-op
       "viz.render",          // whole-frame render entry (eps/tau/exact)

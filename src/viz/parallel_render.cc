@@ -40,8 +40,8 @@ struct FrameObs {
   }
 };
 
-// Injected whole-frame fault (same site as the serial renderers): record it
-// and hand back the untouched (all-zero, finite) frame.
+// Injected whole-frame fault ("viz.render"): record it and hand back the
+// untouched (all-zero, finite) frame.
 bool EntryFault(BatchStats* stats) {
   Status status = KDV_FAILPOINT_STATUS("viz.render");
   if (status.ok()) return false;
@@ -124,7 +124,7 @@ bool PixelPreamble(FrameJob& job, BatchStats& ts) {
 // Evaluates one band of rows. EvalPixel is
 //   Value (const Point& q, RefinementStream& scratch, BatchStats* ts,
 //          bool* interrupted)
-// — the exact per-pixel body of the corresponding serial batch driver.
+// — one pixel's evaluation and work accounting.
 template <typename Value, typename EvalPixel>
 void ProcessTile(FrameJob& job, uint32_t tile, Value* values,
                  RefinementStream& scratch, const EvalPixel& eval) {
@@ -206,8 +206,10 @@ void ProcessTileShared(FrameJob& job, uint32_t tile, Value* values,
           values[grid.PixelIndex(px, py)] = fill;
         }
       }
-      ts.queries += static_cast<uint64_t>(row_end - row_begin) *
-                    static_cast<uint64_t>(col_end - col_begin);
+      const uint64_t area = static_cast<uint64_t>(row_end - row_begin) *
+                            static_cast<uint64_t>(col_end - col_begin);
+      ts.queries += area;
+      ts.pixels_decided += area;
       continue;
     }
 
@@ -258,16 +260,7 @@ void DrainTiles(const std::shared_ptr<FrameJob>& job, Value* values,
 void MergeTileStats(const std::vector<BatchStats>& tiles, BatchStats* stats) {
   if (stats == nullptr) return;
   for (const BatchStats& tile : tiles) {
-    stats->queries += tile.queries;
-    stats->iterations += tile.iterations;
-    stats->points_scanned += tile.points_scanned;
-    stats->nodes_visited += tile.nodes_visited;
-    stats->numeric_faults += tile.numeric_faults;
-    stats->tile_nodes_visited += tile.tile_nodes_visited;
-    stats->tile_accepted += tile.tile_accepted;
-    stats->tile_pruned += tile.tile_pruned;
-    stats->tiles_decided += tile.tiles_decided;
-    stats->tile_seconds += tile.tile_seconds;
+    AddWorkCounters(tile, stats);
     if (!tile.completed) stats->completed = false;
     if (tile.deadline_expired) stats->deadline_expired = true;
     if (tile.cancelled) stats->cancelled = true;
@@ -348,11 +341,8 @@ FrontierKey ConfigureSharedJob(const std::shared_ptr<FrameJob>& job,
   job->refiner = refiner;
   job->eps_mode = eps_mode;
   job->param = param;
-  const int want_cols =
-      options.tile_cols > 0 ? options.tile_cols
-                            : static_cast<int>(job->tile_rows);
-  job->tile_cols =
-      static_cast<uint32_t>(std::clamp(want_cols, 1, grid.width()));
+  job->tile_cols = static_cast<uint32_t>(
+      std::clamp(static_cast<int>(job->tile_rows), 1, grid.width()));
   job->chunks_per_band =
       (static_cast<uint32_t>(grid.width()) + job->tile_cols - 1) /
       job->tile_cols;
@@ -529,7 +519,8 @@ DensityFrame RenderExactFrameParallel(const KdeEvaluator& evaluator,
   auto eval = [&evaluator, num_points](const Point& q,
                                        RefinementStream& /*scratch*/,
                                        BatchStats* ts, bool* interrupted) {
-    // Exact scans are uninterruptible mid-query, matching RunExactBatch.
+    // Exact scans are uninterruptible mid-query: one scan is the smallest
+    // unit of interruption for this method.
     *interrupted = false;
     ++ts->queries;
     ts->points_scanned += num_points;

@@ -1,18 +1,20 @@
-// Intra-frame data-parallel KDV rendering.
+// Whole-frame KDV rendering: the one pixel loop over a grid, serial or
+// data-parallel.
 //
 // The pixel grid is split into horizontal bands of `tile_rows` rows; workers
 // claim bands off a shared atomic counter and evaluate their pixels with a
 // per-worker reusable RefinementStream (zero allocations after warm-up).
 // The caller thread always participates in tile processing, so a frame makes
 // progress even when the helper pool is saturated or absent — and a frame
-// rendered through an exhausted pool degrades to the serial path rather than
-// failing.
+// rendered through an exhausted pool degrades to caller-only rendering
+// rather than failing.
 //
 // Determinism: pixels are independent queries and every worker runs the
-// exact same per-pixel evaluation as the serial renderers (viz/render.h), so
-// a completed parallel frame is bit-identical to the serial frame for any
-// thread count and tile size. Tile stats are merged in tile-index order, so
-// the aggregate BatchStats counters are deterministic too (seconds excepted).
+// same per-pixel evaluation (KdeEvaluator::EvaluateEps / EvaluateTau /
+// EvaluateExact at grid.PixelCenter), so a completed frame is bit-identical
+// for any thread count and tile size. Tile stats are merged in tile-index
+// order, so the aggregate BatchStats counters are deterministic too (seconds
+// excepted).
 //
 // Tile-shared mode (RenderOptions::tile_shared) amortizes the tree traversal
 // across the pixels of each tile chunk with one region-bound pass
@@ -23,14 +25,14 @@
 // equal to the per-pixel path: whole chunks may be answered from region
 // bounds alone. The εKDV/τKDV certificates hold exactly either way.
 //
-// Contracts preserved from the serial path:
+// Contracts:
 //   * QueryControl is polled before every pixel and at iteration granularity
 //     inside each refining evaluation; on a stop the partial frame comes
 //     back with completed=false and the deadline_expired/cancelled flags
 //     set. Tiles not yet claimed are abandoned.
 //   * The per-query failpoint sites ("runner.eps" / "runner.tau" /
-//     "runner.exact") and the whole-frame entry site ("viz.render") fire
-//     exactly as in the serial renderers.
+//     "runner.exact") fire before every pixel (and every tile-shared chunk);
+//     the whole-frame entry site ("viz.render") fires once per frame.
 #ifndef QUADKDV_VIZ_PARALLEL_RENDER_H_
 #define QUADKDV_VIZ_PARALLEL_RENDER_H_
 
@@ -60,15 +62,13 @@ struct RenderOptions {
   // Shared-traversal tile refinement (core/tile_refiner.h): each row band is
   // split into ~square column chunks, one region-bound pass runs per chunk,
   // and pixels are seeded from the resulting frontier (or whole chunks are
-  // answered from the region bounds alone). Off keeps frames bit-identical
-  // to the serial per-pixel renderers; on preserves the εKDV/τKDV
-  // certificates but may produce (certified) different pixel values.
-  // Ignored for the EXACT method and for non-2-d indexes.
+  // answered from the region bounds alone). Chunks are tile_rows columns
+  // wide: square-ish chunks, since full-width row bands make poor query
+  // regions. Off keeps frames bit-identical to per-pixel evaluation; on
+  // preserves the εKDV/τKDV certificates but may produce (certified)
+  // different pixel values. Ignored for the EXACT method and for non-2-d
+  // indexes.
   bool tile_shared = false;
-  // Pixel columns per shared-traversal chunk; 0 derives the chunk width from
-  // tile_rows (square-ish chunks — full-width row bands make poor query
-  // regions).
-  int tile_cols = 0;
   // Optional cross-frame frontier cache; entries are namespaced by
   // cache_epoch (the serving layer passes its epoch id, so a dataset
   // hot-swap can never reuse stale frontiers).
@@ -108,6 +108,27 @@ DensityFrame RenderExactFrameParallel(const KdeEvaluator& evaluator,
                                       Executor* pool,
                                       const QueryControl& control,
                                       BatchStats* stats);
+
+// Single-threaded whole-frame renders with default RenderOptions: no pool,
+// no deadline, not cancellable. `stats` may be nullptr.
+inline DensityFrame RenderEpsFrame(const KdeEvaluator& evaluator,
+                                   const PixelGrid& grid, double eps,
+                                   BatchStats* stats) {
+  return RenderEpsFrameParallel(evaluator, grid, eps, RenderOptions(),
+                                nullptr, QueryControl(), stats);
+}
+inline BinaryFrame RenderTauFrame(const KdeEvaluator& evaluator,
+                                  const PixelGrid& grid, double tau,
+                                  BatchStats* stats) {
+  return RenderTauFrameParallel(evaluator, grid, tau, RenderOptions(),
+                                nullptr, QueryControl(), stats);
+}
+inline DensityFrame RenderExactFrame(const KdeEvaluator& evaluator,
+                                     const PixelGrid& grid,
+                                     BatchStats* stats) {
+  return RenderExactFrameParallel(evaluator, grid, RenderOptions(), nullptr,
+                                  QueryControl(), stats);
+}
 
 }  // namespace kdv
 

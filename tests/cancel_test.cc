@@ -8,8 +8,8 @@
 #include "progressive/progressive.h"
 #include "util/timer.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -52,7 +52,7 @@ TEST(QueryControlTest, DeadlineExpiryReported) {
 }
 
 // ---------------------------------------------------------------------------
-// Propagation through the batch runners and renderers
+// Propagation through the frame renderers
 // ---------------------------------------------------------------------------
 
 class ControlPropagationTest : public ::testing::Test {
@@ -61,11 +61,18 @@ class ControlPropagationTest : public ::testing::Test {
       : bench_(GenerateMixture(CrimeSpec(0.002)), KernelType::kGaussian),
         grid_(16, 12, bench_.data_bounds()) {}
 
+  // Single-threaded εKDV frame under `control`.
+  DensityFrame RenderEps(const KdeEvaluator& evaluator, double eps,
+                         const QueryControl& control, BatchStats* stats) {
+    return RenderEpsFrameParallel(evaluator, grid_, eps, RenderOptions(),
+                                  nullptr, control, stats);
+  }
+
   Workbench bench_;
   PixelGrid grid_;
 };
 
-TEST_F(ControlPropagationTest, CancelledBatchStopsAndReportsIt) {
+TEST_F(ControlPropagationTest, CancelledFrameStopsAndReportsIt) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   CancelToken token;
   token.RequestCancel();
@@ -73,16 +80,15 @@ TEST_F(ControlPropagationTest, CancelledBatchStopsAndReportsIt) {
   control.cancel = &token;
 
   BatchStats stats;
-  std::vector<double> out =
-      RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, control, &stats);
-  ASSERT_EQ(out.size(), grid_.num_pixels());
+  DensityFrame frame = RenderEps(quad, 0.01, control, &stats);
+  ASSERT_EQ(frame.values.size(), grid_.num_pixels());
   EXPECT_TRUE(stats.cancelled);
   EXPECT_FALSE(stats.completed);
   EXPECT_EQ(stats.queries, 0u);
-  for (double v : out) EXPECT_EQ(v, 0.0);  // unreached entries stay zero
+  for (double v : frame.values) EXPECT_EQ(v, 0.0);  // unreached stay zero
 }
 
-TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryBatchKind) {
+TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryFrameKind) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   Deadline expired(1e-12);
   while (!expired.Expired()) {
@@ -91,31 +97,31 @@ TEST_F(ControlPropagationTest, ExpiredDeadlineStopsEveryBatchKind) {
   control.deadline = &expired;
 
   BatchStats eps_stats;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, control, &eps_stats);
+  RenderEps(quad, 0.01, control, &eps_stats);
   EXPECT_TRUE(eps_stats.deadline_expired);
   EXPECT_FALSE(eps_stats.completed);
 
   BatchStats tau_stats;
-  RunTauBatch(quad, grid_.AllPixelCenters(), 1e-3, control, &tau_stats);
+  RenderTauFrameParallel(quad, grid_, 1e-3, RenderOptions(), nullptr, control,
+                         &tau_stats);
   EXPECT_TRUE(tau_stats.deadline_expired);
   EXPECT_FALSE(tau_stats.completed);
 
   BatchStats exact_stats;
-  RunExactBatch(quad, grid_.AllPixelCenters(), control, &exact_stats);
+  RenderExactFrameParallel(quad, grid_, RenderOptions(), nullptr, control,
+                           &exact_stats);
   EXPECT_TRUE(exact_stats.deadline_expired);
   EXPECT_FALSE(exact_stats.completed);
 }
 
-TEST_F(ControlPropagationTest, NoControlMatchesLegacyOverloads) {
+TEST_F(ControlPropagationTest, DefaultControlMatchesConvenienceRender) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   BatchStats a, b;
-  std::vector<double> with_control = RunEpsBatch(
-      quad, grid_.AllPixelCenters(), 0.01, QueryControl(), &a);
-  std::vector<double> without =
-      RunEpsBatch(quad, grid_.AllPixelCenters(), 0.01, &b);
-  ASSERT_EQ(with_control.size(), without.size());
-  for (size_t i = 0; i < without.size(); ++i) {
-    EXPECT_DOUBLE_EQ(with_control[i], without[i]);
+  DensityFrame with_control = RenderEps(quad, 0.01, QueryControl(), &a);
+  DensityFrame without = RenderEpsFrame(quad, grid_, 0.01, &b);
+  ASSERT_EQ(with_control.values.size(), without.values.size());
+  for (size_t i = 0; i < without.values.size(); ++i) {
+    EXPECT_DOUBLE_EQ(with_control.values[i], without.values[i]);
   }
   EXPECT_TRUE(a.completed);
   EXPECT_FALSE(a.deadline_expired);
@@ -146,7 +152,7 @@ TEST_F(ControlPropagationTest, CancelledRenderFramesStayFinite) {
   control.cancel = &token;
 
   BatchStats stats;
-  DensityFrame frame = RenderEpsFrame(quad, grid_, 0.01, control, &stats);
+  DensityFrame frame = RenderEps(quad, 0.01, control, &stats);
   EXPECT_TRUE(stats.cancelled);
   EXPECT_EQ(ScrubNonFinite(&frame), 0u);
 }
@@ -167,7 +173,7 @@ TEST_F(ControlPropagationTest, ProgressiveReportsCancellation) {
   EXPECT_EQ(ScrubNonFinite(&r.frame), 0u);  // fully painted, finite
 }
 
-TEST_F(ControlPropagationTest, MidFlightCancelStopsALongBatch) {
+TEST_F(ControlPropagationTest, MidFlightCancelStopsALongFrame) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   CancelToken token;
   QueryControl control;
@@ -178,12 +184,12 @@ TEST_F(ControlPropagationTest, MidFlightCancelStopsALongBatch) {
   // (Deterministic single-thread variant: cancel immediately after a first
   // uncontrolled run proves at least one query completes.)
   BatchStats warmup;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.05, &warmup);
+  RenderEpsFrame(quad, grid_, 0.05, &warmup);
   ASSERT_EQ(warmup.queries, grid_.num_pixels());
 
   token.RequestCancel();
   BatchStats stats;
-  RunEpsBatch(quad, grid_.AllPixelCenters(), 0.05, control, &stats);
+  RenderEps(quad, 0.05, control, &stats);
   EXPECT_TRUE(stats.cancelled);
   EXPECT_LT(stats.queries, grid_.num_pixels());
 }

@@ -6,7 +6,7 @@
 #include "data/datasets.h"
 #include "stats/density_stats.h"
 #include "viz/frame.h"
-#include "viz/render.h"
+#include "viz/parallel_render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {

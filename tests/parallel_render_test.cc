@@ -1,13 +1,14 @@
-// Determinism and robustness suite for the intra-frame parallel renderer
-// and the SoA/scratch machinery beneath it.
+// Determinism and robustness suite for the frame renderer and the
+// SoA/scratch machinery beneath it.
 //
-// The load-bearing property is bit-identical output: a parallel frame must
-// equal the serial frame byte for byte, for every operation (εKDV / τKDV /
-// exact), thread count, and tile size — that is what lets the parallel path
-// ship certified frames. Beneath it, two refactors carry the same contract
-// at smaller scope: the SoA leaf kernel must match the AoS scalar loop
-// bitwise, and a Reset() scratch stream must be indistinguishable from a
-// freshly constructed one.
+// The load-bearing property is bit-identical output: a rendered frame must
+// equal an independent per-pixel oracle (a plain loop of EvaluateEps /
+// EvaluateTau / EvaluateExact over the pixel centers) byte for byte, with
+// equal work counters, for every operation, thread count and tile size —
+// that is what lets the tiled driver ship certified frames. Beneath it, two
+// refactors carry the same contract at smaller scope: the SoA leaf kernel
+// must match the AoS scalar loop bitwise, and a Reset() scratch stream must
+// be indistinguishable from a freshly constructed one.
 //
 // Everything here runs clean under ThreadSanitizer; CI's tsan job pulls the
 // suite in via `ctest -L concurrency`.
@@ -15,7 +16,9 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +30,6 @@
 #include "index/kdtree.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -76,7 +78,102 @@ uint64_t Bits(double v) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel frame == serial frame, bitwise
+// Per-pixel oracle: the paper's εKDV/τKDV loop, independent of the renderer
+// ---------------------------------------------------------------------------
+
+DensityFrame OracleEpsFrame(const KdeEvaluator& evaluator,
+                            const PixelGrid& grid, double eps,
+                            BatchStats* stats) {
+  DensityFrame frame(grid.width(), grid.height());
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      EvalResult r = evaluator.EvaluateEps(grid.PixelCenter(x, y), eps);
+      frame.values[grid.PixelIndex(x, y)] = r.estimate;
+      AccumulateQueryStats(stats, r);
+    }
+  }
+  return frame;
+}
+
+BinaryFrame OracleTauFrame(const KdeEvaluator& evaluator,
+                           const PixelGrid& grid, double tau,
+                           BatchStats* stats) {
+  BinaryFrame frame(grid.width(), grid.height());
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      TauResult r = evaluator.EvaluateTau(grid.PixelCenter(x, y), tau);
+      frame.values[grid.PixelIndex(x, y)] = r.above_threshold ? 1 : 0;
+      AccumulateQueryStats(stats, r);
+    }
+  }
+  return frame;
+}
+
+DensityFrame OracleExactFrame(const KdeEvaluator& evaluator,
+                              const PixelGrid& grid, BatchStats* stats) {
+  DensityFrame frame(grid.width(), grid.height());
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      frame.values[grid.PixelIndex(x, y)] =
+          evaluator.EvaluateExact(grid.PixelCenter(x, y));
+      ++stats->queries;
+      stats->points_scanned += evaluator.tree().num_points();
+    }
+  }
+  return frame;
+}
+
+// The εKDV/τKDV work counters a per-pixel frame must reproduce exactly.
+void ExpectSameWork(const BatchStats& oracle, const BatchStats& frame) {
+  EXPECT_EQ(frame.queries, oracle.queries);
+  EXPECT_EQ(frame.iterations, oracle.iterations);
+  EXPECT_EQ(frame.points_scanned, oracle.points_scanned);
+  EXPECT_EQ(frame.nodes_visited, oracle.nodes_visited);
+  EXPECT_EQ(frame.numeric_faults, oracle.numeric_faults);
+  EXPECT_EQ(frame.tile_nodes_visited, 0u);
+  EXPECT_EQ(frame.tiles_decided, 0u);
+}
+
+// The convenience renders (default options, no pool) are the same driver,
+// so they too must match the oracle bitwise, counters included.
+TEST(OracleTest, ConvenienceRendersMatchPerPixelOracle) {
+  for (KernelType kernel :
+       {KernelType::kGaussian, KernelType::kTriangular,
+        KernelType::kExponential}) {
+    auto bench = MakeBench(kernel);
+    KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+    PixelGrid grid(37, 23, bench->data_bounds());
+
+    BatchStats oracle_stats, stats;
+    DensityFrame oracle =
+        OracleEpsFrame(evaluator, grid, 0.05, &oracle_stats);
+    DensityFrame frame = RenderEpsFrame(evaluator, grid, 0.05, &stats);
+    EXPECT_TRUE(FramesBitIdentical(oracle.values, frame.values))
+        << KernelTypeName(kernel);
+    EXPECT_TRUE(stats.completed);
+    ExpectSameWork(oracle_stats, stats);
+
+    BatchStats oracle_tau_stats, tau_stats;
+    BinaryFrame oracle_tau =
+        OracleTauFrame(evaluator, grid, 0.3, &oracle_tau_stats);
+    BinaryFrame tau = RenderTauFrame(evaluator, grid, 0.3, &tau_stats);
+    EXPECT_EQ(oracle_tau.values, tau.values) << KernelTypeName(kernel);
+    ExpectSameWork(oracle_tau_stats, tau_stats);
+  }
+
+  auto bench = MakeBench();
+  KdeEvaluator exact = bench->MakeEvaluator(Method::kExact);
+  PixelGrid grid(13, 9, bench->data_bounds());
+  BatchStats oracle_stats, stats;
+  DensityFrame oracle = OracleExactFrame(exact, grid, &oracle_stats);
+  DensityFrame frame = RenderExactFrame(exact, grid, &stats);
+  EXPECT_TRUE(FramesBitIdentical(oracle.values, frame.values));
+  EXPECT_EQ(stats.queries, oracle_stats.queries);
+  EXPECT_EQ(stats.points_scanned, oracle_stats.points_scanned);
+}
+
+// ---------------------------------------------------------------------------
+// Tiled frame == per-pixel oracle, bitwise, at any thread count
 // ---------------------------------------------------------------------------
 
 struct ParallelCase {
@@ -92,14 +189,14 @@ std::string CaseName(const ::testing::TestParamInfo<ParallelCase>& info) {
 class ParallelEquivalenceTest : public ::testing::TestWithParam<ParallelCase> {
 };
 
-TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToOracle) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(40, 30, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, &serial_stats);
+  BatchStats oracle_stats;
+  DensityFrame oracle = OracleEpsFrame(evaluator, grid, 0.05, &oracle_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -109,24 +206,21 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToSerial) {
   DensityFrame parallel = RenderEpsFrameParallel(
       evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(oracle.values, parallel.values));
   EXPECT_TRUE(stats.completed);
-  // Per-tile accounting merged in tile order must equal the serial counters.
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.iterations, serial_stats.iterations);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
-  EXPECT_EQ(stats.numeric_faults, serial_stats.numeric_faults);
+  // Per-tile accounting merged in tile order must equal the oracle counters.
+  ExpectSameWork(oracle_stats, stats);
 }
 
-TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToOracle) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(40, 30, bench->data_bounds());
   const double tau = 0.3;
 
-  BatchStats serial_stats;
-  BinaryFrame serial = RenderTauFrame(evaluator, grid, tau, &serial_stats);
+  BatchStats oracle_stats;
+  BinaryFrame oracle = OracleTauFrame(evaluator, grid, tau, &oracle_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -136,21 +230,19 @@ TEST_P(ParallelEquivalenceTest, TauFrameBitIdenticalToSerial) {
   BinaryFrame parallel = RenderTauFrameParallel(
       evaluator, grid, tau, options, &pool, QueryControl(), &stats);
 
-  EXPECT_EQ(serial.values, parallel.values);
+  EXPECT_EQ(oracle.values, parallel.values);
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.iterations, serial_stats.iterations);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
+  ExpectSameWork(oracle_stats, stats);
 }
 
-TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToSerial) {
+TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToOracle) {
   const ParallelCase param = GetParam();
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kExact);
   PixelGrid grid(24, 18, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderExactFrame(evaluator, grid, &serial_stats);
+  BatchStats oracle_stats;
+  DensityFrame oracle = OracleExactFrame(evaluator, grid, &oracle_stats);
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
   RenderOptions options;
@@ -160,10 +252,10 @@ TEST_P(ParallelEquivalenceTest, ExactFrameBitIdenticalToSerial) {
   DensityFrame parallel = RenderExactFrameParallel(
       evaluator, grid, options, &pool, QueryControl(), &stats);
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(oracle.values, parallel.values));
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
-  EXPECT_EQ(stats.points_scanned, serial_stats.points_scanned);
+  EXPECT_EQ(stats.queries, oracle_stats.queries);
+  EXPECT_EQ(stats.points_scanned, oracle_stats.points_scanned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -183,8 +275,8 @@ TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
   PixelGrid grid(32, 24, bench->data_bounds());
 
-  BatchStats serial_stats;
-  DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, &serial_stats);
+  BatchStats oracle_stats;
+  DensityFrame oracle = OracleEpsFrame(evaluator, grid, 0.05, &oracle_stats);
 
   // One parked worker plus a full one-slot queue: every TrySubmit from the
   // renderer is rejected with kResourceExhausted.
@@ -210,9 +302,9 @@ TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
   release.store(true);
   pool.Stop();
 
-  EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values));
+  EXPECT_TRUE(FramesBitIdentical(oracle.values, parallel.values));
   EXPECT_TRUE(stats.completed);
-  EXPECT_EQ(stats.queries, serial_stats.queries);
+  EXPECT_EQ(stats.queries, oracle_stats.queries);
 }
 
 // ---------------------------------------------------------------------------
@@ -309,9 +401,9 @@ TEST(ParallelRenderTest, ConcurrentCancellationLeavesConsistentStats) {
 // ---------------------------------------------------------------------------
 
 // --tile-shared=off is the bit-identity contract: the tiled driver with the
-// shared pass disabled must reproduce the serial frame byte for byte, for
-// every kernel and across thread x tile configurations.
-TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
+// shared pass disabled must reproduce the per-pixel oracle byte for byte,
+// for every kernel and across thread x tile configurations.
+TEST(TileSharedTest, OffPathBitIdenticalToOracleForEveryKernel) {
   const KernelType kernels[] = {KernelType::kGaussian,
                                 KernelType::kEpanechnikov,
                                 KernelType::kExponential};
@@ -320,8 +412,8 @@ TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
     KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
     PixelGrid grid(40, 30, bench->data_bounds());
 
-    DensityFrame serial = RenderEpsFrame(evaluator, grid, 0.05, nullptr);
-    BinaryFrame serial_tau = RenderTauFrame(evaluator, grid, 0.3, nullptr);
+    DensityFrame oracle = OracleEpsFrame(evaluator, grid, 0.05, nullptr);
+    BinaryFrame oracle_tau = OracleTauFrame(evaluator, grid, 0.3, nullptr);
 
     ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
     for (const ParallelCase& c :
@@ -333,12 +425,12 @@ TEST(TileSharedTest, OffPathBitIdenticalToSerialForEveryKernel) {
       BatchStats stats;
       DensityFrame parallel = RenderEpsFrameParallel(
           evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
-      EXPECT_TRUE(FramesBitIdentical(serial.values, parallel.values))
+      EXPECT_TRUE(FramesBitIdentical(oracle.values, parallel.values))
           << KernelTypeName(kernel) << " t" << c.num_threads;
       EXPECT_EQ(stats.tile_nodes_visited, 0u);
       BinaryFrame parallel_tau = RenderTauFrameParallel(
           evaluator, grid, 0.3, options, &pool, QueryControl(), &stats);
-      EXPECT_EQ(serial_tau.values, parallel_tau.values);
+      EXPECT_EQ(oracle_tau.values, parallel_tau.values);
     }
   }
 }

@@ -7,7 +7,7 @@
 #include "data/datasets.h"
 #include "progressive/progressive.h"
 #include "viz/frame.h"
-#include "viz/render.h"
+#include "viz/parallel_render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {

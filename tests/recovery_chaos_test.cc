@@ -36,8 +36,8 @@
 #include "index/serialization.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {

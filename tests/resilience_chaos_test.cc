@@ -124,6 +124,27 @@ TEST_F(ResilientRendererTest, NonPlanarDataFallsBackToFlat) {
   for (double v : outcome.frame.values) EXPECT_EQ(v, 0.0);
 }
 
+// A deadline that cuts the tiled attempt short falls through to the
+// progressive ladder; the attempt's work counters — here its frontier-cache
+// hit — must still reach the outcome.
+TEST_F(ResilientRendererTest, CutShortTiledAttemptKeepsItsWorkCounters) {
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  options.budget_seconds = -1.0;
+  options.parallel.tile_shared = true;
+  RenderOutcome warm = renderer.Render(grid_, options);
+  ASSERT_EQ(warm.tier, QualityTier::kCertified);
+  EXPECT_EQ(warm.stats.frontier_cache_hits, 0u);
+  EXPECT_GT(warm.stats.tile_nodes_visited, 0u);
+
+  options.budget_seconds = 1e-9;
+  RenderOutcome cut = renderer.Render(grid_, options);
+  EXPECT_TRUE(cut.deadline_expired);
+  EXPECT_EQ(cut.stats.frontier_cache_hits, 1u);
+  EXPECT_EQ(cut.stats.tile_nodes_visited, 0u);  // served from the cache
+}
+
 // ---------------------------------------------------------------------------
 // Failpoint sweep (needs -DKDV_FAILPOINTS=ON)
 // ---------------------------------------------------------------------------

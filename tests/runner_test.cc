@@ -1,7 +1,6 @@
-// Tests for the batch drivers (core/kdv_runner.h) and the step-wise
+// Tests for the work accounting (core/kdv_runner.h) and the step-wise
 // RefinementStream (core/refinement_stream.h).
 #include <algorithm>
-#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,77 +28,71 @@ class RunnerTest : public ::testing::Test {
   PointSet queries_;
 };
 
-TEST_F(RunnerTest, EpsBatchMatchesPerQueryEvaluation) {
+TEST_F(RunnerTest, AccumulateQueryStatsSumsPerQueryWork) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   BatchStats stats;
-  std::vector<double> batch = RunEpsBatch(quad, queries_, 0.01, &stats);
-  ASSERT_EQ(batch.size(), queries_.size());
-  EXPECT_EQ(stats.queries, queries_.size());
-  EXPECT_TRUE(stats.completed);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], quad.EvaluateEps(queries_[i], 0.01).estimate);
+  uint64_t iterations = 0;
+  uint64_t points = 0;
+  uint64_t nodes = 0;
+  for (const Point& q : queries_) {
+    EvalResult r = quad.EvaluateEps(q, 0.01);
+    AccumulateQueryStats(&stats, r);
+    iterations += r.iterations;
+    points += r.points_scanned;
+    nodes += r.node_evals;
   }
+  TauResult t = quad.EvaluateTau(queries_[0], 0.5);
+  AccumulateQueryStats(&stats, t);
+  AccumulateQueryStats(nullptr, t);  // no-op, must not crash
+  EXPECT_EQ(stats.queries, queries_.size() + 1);
+  EXPECT_EQ(stats.iterations, iterations + t.iterations);
+  EXPECT_EQ(stats.points_scanned, points + t.points_scanned);
+  EXPECT_EQ(stats.nodes_visited, nodes + t.node_evals);
+  EXPECT_EQ(stats.numeric_faults, 0u);
 }
 
-TEST_F(RunnerTest, TauBatchMatchesPerQueryEvaluation) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  double tau = 0.5;
-  std::vector<uint8_t> batch = RunTauBatch(quad, queries_, tau, nullptr);
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_EQ(batch[i] != 0, quad.EvaluateTau(queries_[i], tau).above_threshold);
-  }
-}
+TEST_F(RunnerTest, AddWorkCountersMergesCountersOnly) {
+  BatchStats from;
+  from.seconds = 5.0;
+  from.queries = 1;
+  from.iterations = 2;
+  from.points_scanned = 3;
+  from.nodes_visited = 4;
+  from.numeric_faults = 5;
+  from.tile_nodes_visited = 6;
+  from.tile_accepted = 7;
+  from.tile_pruned = 8;
+  from.tiles_decided = 9;
+  from.pixels_decided = 10;
+  from.frontier_cache_hits = 11;
+  from.tile_seconds = 0.5;
+  from.completed = false;
+  from.deadline_expired = true;
+  from.cancelled = true;
+  from.status = InternalError("attempt failed");
 
-TEST_F(RunnerTest, ExactBatchCountsAllPoints) {
-  KdeEvaluator exact = bench_.MakeEvaluator(Method::kExact);
-  BatchStats stats;
-  std::vector<double> batch = RunExactBatch(exact, queries_, &stats);
-  EXPECT_EQ(stats.points_scanned,
-            queries_.size() * bench_.num_points());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], exact.EvaluateExact(queries_[i]));
-  }
-}
-
-TEST_F(RunnerTest, OrderedRunRespectsOrderAndDeadline) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-
-  // Reverse order, no deadline: all evaluated.
-  std::vector<uint32_t> order(queries_.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::reverse(order.begin(), order.end());
-  std::vector<double> out(queries_.size(), -1.0);
-  BatchStats stats;
-  size_t evaluated =
-      RunEpsOrdered(quad, queries_, order, 0.01, nullptr, &out, &stats);
-  EXPECT_EQ(evaluated, queries_.size());
-  EXPECT_TRUE(stats.completed);
-  for (double v : out) EXPECT_GE(v, 0.0);
-
-  // Expired deadline: nothing evaluated, sentinel values untouched.
-  std::vector<double> out2(queries_.size(), -1.0);
-  Deadline expired(1e-12);
-  while (!expired.Expired()) {
-  }
-  BatchStats stats2;
-  size_t evaluated2 =
-      RunEpsOrdered(quad, queries_, order, 0.01, &expired, &out2, &stats2);
-  EXPECT_EQ(evaluated2, 0u);
-  EXPECT_FALSE(stats2.completed);
-  for (double v : out2) EXPECT_DOUBLE_EQ(v, -1.0);
-}
-
-TEST_F(RunnerTest, OrderedRunPartialPrefix) {
-  KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
-  std::vector<uint32_t> order = {3, 1, 4};
-  std::vector<double> out(queries_.size(), -1.0);
-  size_t evaluated =
-      RunEpsOrdered(quad, queries_, order, 0.01, nullptr, &out, nullptr);
-  EXPECT_EQ(evaluated, 3u);
-  EXPECT_GE(out[3], 0.0);
-  EXPECT_GE(out[1], 0.0);
-  EXPECT_GE(out[4], 0.0);
-  EXPECT_DOUBLE_EQ(out[0], -1.0);
+  BatchStats into;
+  into.queries = 100;
+  into.seconds = 1.0;
+  AddWorkCounters(from, &into);
+  EXPECT_EQ(into.queries, 101u);
+  EXPECT_EQ(into.iterations, 2u);
+  EXPECT_EQ(into.points_scanned, 3u);
+  EXPECT_EQ(into.nodes_visited, 4u);
+  EXPECT_EQ(into.numeric_faults, 5u);
+  EXPECT_EQ(into.tile_nodes_visited, 6u);
+  EXPECT_EQ(into.tile_accepted, 7u);
+  EXPECT_EQ(into.tile_pruned, 8u);
+  EXPECT_EQ(into.tiles_decided, 9u);
+  EXPECT_EQ(into.pixels_decided, 10u);
+  EXPECT_EQ(into.frontier_cache_hits, 11u);
+  EXPECT_DOUBLE_EQ(into.tile_seconds, 0.5);
+  // Wall time, flags and status belong to the caller.
+  EXPECT_DOUBLE_EQ(into.seconds, 1.0);
+  EXPECT_TRUE(into.completed);
+  EXPECT_FALSE(into.deadline_expired);
+  EXPECT_FALSE(into.cancelled);
+  EXPECT_TRUE(into.status.ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 #include "data/datasets.h"
 #include "viz/color_map.h"
 #include "viz/frame.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {

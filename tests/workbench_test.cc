@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "data/datasets.h"
+#include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
-#include "viz/render.h"
 #include "workbench/workbench.h"
 
 namespace kdv {

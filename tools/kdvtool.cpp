@@ -87,7 +87,7 @@ int Usage() {
       "                 counters and the active SIMD level; KDV_SIMD=\n"
       "                 scalar|sse2|avx2 pins the leaf-kernel dispatch)]\n"
       "  hotspot:      --tau T | --tau-sigma K (tau = mu + K*sigma)\n"
-      "                --block (certify whole pixel blocks)\n"
+      "                [--threads N --tile-rows R --tile-shared on|off]\n"
       "  progressive:  --eps E --budget SECONDS\n"
       "  classify:     --in FILE.csv --label-col I (x,y + integer labels)\n"
       "  regress:      --in FILE.csv --target-col I (x,y + target >= 0)\n"
@@ -544,21 +544,14 @@ int CmdRender(const Flags& flags) {
 
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
-  BatchStats stats;
-  DensityFrame frame;
   std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
-  if (pool != nullptr || tile_shared) {
-    // Tile-shared rendering lives in the tiled driver, so it is routed
-    // there even at --threads 1 (pool null: the caller drains every tile).
-    RenderOptions ropts;
-    ropts.num_threads = threads;
-    ropts.tile_rows = tile_rows;
-    ropts.tile_shared = tile_shared;
-    frame = RenderEpsFrameParallel(evaluator, grid, eps, ropts, pool.get(),
-                                   QueryControl(), &stats);
-  } else {
-    frame = RenderEpsFrame(evaluator, grid, eps, &stats);
-  }
+  RenderOptions ropts;
+  ropts.num_threads = threads;
+  ropts.tile_rows = tile_rows;
+  ropts.tile_shared = tile_shared;
+  BatchStats stats;
+  DensityFrame frame = RenderEpsFrameParallel(
+      evaluator, grid, eps, ropts, pool.get(), QueryControl(), &stats);
   if (!stats.status.ok()) {
     PrintStatus(stats.status);
     return 1;
@@ -636,35 +629,17 @@ int CmdHotspot(const Flags& flags) {
   if (!ParseFrameThreads(flags, "hotspot", &threads, &tile_rows)) return 2;
   bool tile_shared = false;
   if (!ParseTileShared(flags, "hotspot", &tile_shared)) return 2;
-  BinaryFrame mask;
-  double seconds = 0.0;
-  if (flags.GetBool("block", false)) {
-    // Block-certified rendering: whole pixel regions decided wholesale.
-    BlockTauStats stats;
-    mask = RenderTauFrameBlocked(evaluator, grid, tau, &stats);
-    seconds = stats.seconds;
-    std::printf("block mode: %llu blocks certified, %llu per-pixel "
-                "fallbacks\n",
-                static_cast<unsigned long long>(stats.blocks_certified),
-                static_cast<unsigned long long>(stats.pixel_evaluations));
-  } else {
-    BatchStats stats;
-    std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
-    if (pool != nullptr || tile_shared) {
-      RenderOptions ropts;
-      ropts.num_threads = threads;
-      ropts.tile_rows = tile_rows;
-      ropts.tile_shared = tile_shared;
-      mask = RenderTauFrameParallel(evaluator, grid, tau, ropts, pool.get(),
-                                    QueryControl(), &stats);
-    } else {
-      mask = RenderTauFrame(evaluator, grid, tau, &stats);
-    }
-    if (!stats.status.ok()) {
-      PrintStatus(stats.status);
-      return 1;
-    }
-    seconds = stats.seconds;
+  std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
+  RenderOptions ropts;
+  ropts.num_threads = threads;
+  ropts.tile_rows = tile_rows;
+  ropts.tile_shared = tile_shared;
+  BatchStats stats;
+  BinaryFrame mask = RenderTauFrameParallel(evaluator, grid, tau, ropts,
+                                            pool.get(), QueryControl(), &stats);
+  if (!stats.status.ok()) {
+    PrintStatus(stats.status);
+    return 1;
   }
   std::string out = flags.GetString("out", "hotspots.ppm");
   if (!RenderThresholdMap(mask).WritePpm(out)) {
@@ -677,7 +652,7 @@ int CmdHotspot(const Flags& flags) {
               MethodName(s.method),
               100.0 * static_cast<double>(hot) /
                   static_cast<double>(mask.values.size()),
-              seconds, out.c_str());
+              stats.seconds, out.c_str());
   return 0;
 }
 
