@@ -1,5 +1,6 @@
 #include "bounds/node_bounds.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "bounds/profile.h"
@@ -37,6 +38,21 @@ void SumQuarticRange(double n, double s1_min, double s1_max, double dmin2,
   if (*s2_max < *s2_min) *s2_max = *s2_min;
 }
 
+// Lemma 10 lower bound with x_max clamped to the support edge pi/2. For
+// x > pi/2 the quadratic is <= 0 <= K, so it remains a valid lower bound
+// when the node straddles the edge. Inside the support k_max = K(x_max) is
+// the cos(x_max) the bound needs; past the edge it needs cos(pi/2), not 0.
+QuadraticCoeffs CosineLowerClamped(double x_max, double k_max) {
+  const double x_eff = std::min(x_max, kPi / 2.0);
+  return CosineQuadLower(x_eff, x_eff == x_max ? k_max : std::cos(x_eff));
+}
+
+// exp(-x) at both ends of the interval: the profile values of the Gaussian
+// and exponential kernels, shared by their coefficients and the clamp.
+ProfileEnds ExpEnds(const XInterval& xi) {
+  return {ClampedExpNeg(xi.x_min), ClampedExpNeg(xi.x_max)};
+}
+
 }  // namespace
 
 // Base implementation: min/max-distance bounds at the rect-to-rect extremal
@@ -45,7 +61,7 @@ void SumQuarticRange(double n, double s1_min, double s1_max, double dmin2,
 BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
                                      const Rect& query_rect) const {
   XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
-  return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
+  return TrivialBounds(params_, stats.n(), EvalProfileEnds(params_, xi));
 }
 
 // ---------------------------------------------------------------------------
@@ -55,7 +71,7 @@ BoundPair NodeBounds::EvaluateRegion(const NodeStats& stats,
 BoundPair MinMaxDistBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
   XInterval xi = ProfileInterval(params_, stats.mbr(), q);
-  return TrivialBounds(params_, static_cast<double>(stats.count()), xi);
+  return TrivialBounds(params_, stats.n(), EvalProfileEnds(params_, xi));
 }
 
 // ---------------------------------------------------------------------------
@@ -72,10 +88,11 @@ KarlLinearBounds::KarlLinearBounds(const KernelParams& params,
 
 BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
                                      const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  const ProfileEnds k = ExpEnds(xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   const double s1 = stats.SumSquaredDistances(q);
@@ -83,22 +100,23 @@ BoundPair KarlLinearBounds::Evaluate(const NodeStats& stats,
   const double w = params_.weight;
 
   BoundPair b;
-  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max);
+  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (upper.m * sum_x + upper.k * n);
 
   double t = GaussianTangentPoint(params_.gamma, s1, n, xi.x_min, xi.x_max);
-  LinearCoeffs lower = ExpTangentLower(t);
+  LinearCoeffs lower = ExpTangentLower(t, ClampedExpNeg(t));
   b.lower = w * (lower.m * sum_x + lower.k * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
                                            const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
+  const ProfileEnds k = ExpEnds(xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   double s1_min = 0.0, s1_max = 0.0;
@@ -108,17 +126,17 @@ BoundPair KarlLinearBounds::EvaluateRegion(const NodeStats& stats,
   const double w = params_.weight;
 
   BoundPair b;
-  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max);
+  LinearCoeffs upper = ExpChordUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (MaxTerm(upper.m, sx_min, sx_max) + upper.k * n);
 
   // Tangent at the mid-range mean argument; any tangent point yields a valid
   // global lower bound on exp(-x) by convexity.
   double t = GaussianTangentPoint(params_.gamma, 0.5 * (s1_min + s1_max), n,
                                   xi.x_min, xi.x_max);
-  LinearCoeffs lower = ExpTangentLower(t);
+  LinearCoeffs lower = ExpTangentLower(t, ClampedExpNeg(t));
   b.lower = w * (MinTerm(lower.m, sx_min, sx_max) + lower.k * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,52 +150,59 @@ QuadGaussianBounds::QuadGaussianBounds(const KernelParams& params,
                 "QuadGaussianBounds requires the Gaussian kernel");
 }
 
+// Three exps per evaluation, one per distinct argument (x_min, x_max, t),
+// each shared by every coefficient and the clamp that needs it.
 BoundPair QuadGaussianBounds::Evaluate(const NodeStats& stats,
                                        const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   XInterval xi = ProfileInterval(params_, stats.mbr(), q);
+  const ProfileEnds k = ExpEnds(xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
-  const double s1 = stats.SumSquaredDistances(q);
-  const double s2 = stats.SumQuarticDistances(q);
+  double s1 = 0.0, s2 = 0.0;
+  stats.SumDistanceMoments(q, &s1, &s2);
   const double sum_x = params_.gamma * s1;                    // sum x_i
   const double sum_x_sq = params_.gamma * params_.gamma * s2;  // sum x_i^2
   const double w = params_.weight;
 
   BoundPair b;
-  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (upper.a * sum_x_sq + upper.b * sum_x + upper.c * n);
 
   double t = GaussianTangentPoint(params_.gamma, s1, n, xi.x_min, xi.x_max);
+  const double e_t = ClampedExpNeg(t);
   if (xi.x_max - t < kDegenerateInterval) {
     // Tangent point collapses onto x_max; the quadratic form degenerates.
     // Fall back to the linear tangent bound, which is still valid.
-    LinearCoeffs lower = ExpTangentLower(t);
+    LinearCoeffs lower = ExpTangentLower(t, e_t);
     b.lower = w * (lower.m * sum_x + lower.k * n);
   } else {
-    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max);
+    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max, e_t, k.k_max);
     b.lower = w * (lower.a * sum_x_sq + lower.b * sum_x + lower.c * n);
   }
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
                                              const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
-  const Rect& mbr = stats.mbr();
-  XInterval xi = RegionProfileInterval(params_, mbr, query_rect);
+  const double n = stats.n();
+  const RectView mbr = stats.mbr();
+  const double dmin2 = mbr.MinSquaredDistance(query_rect);
+  const double dmax2 = mbr.MaxSquaredDistance(query_rect);
+  const XInterval xi{params_.XFromSquaredDistance(dmin2),
+                     params_.XFromSquaredDistance(dmax2)};
+  const ProfileEnds k = ExpEnds(xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   double s1_min = 0.0, s1_max = 0.0;
   stats.SumSquaredDistancesRange(query_rect, &s1_min, &s1_max);
   double s2_min = 0.0, s2_max = 0.0;
-  SumQuarticRange(n, s1_min, s1_max, mbr.MinSquaredDistance(query_rect),
-                  mbr.MaxSquaredDistance(query_rect), &s2_min, &s2_max);
+  SumQuarticRange(n, s1_min, s1_max, dmin2, dmax2, &s2_min, &s2_max);
 
   const double g = params_.gamma;
   const double sx_min = g * s1_min, sx_max = g * s1_max;
@@ -185,22 +210,23 @@ BoundPair QuadGaussianBounds::EvaluateRegion(const NodeStats& stats,
   const double w = params_.weight;
 
   BoundPair b;
-  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper = ExpQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (MaxTerm(upper.a, sxsq_min, sxsq_max) +
                  MaxTerm(upper.b, sx_min, sx_max) + upper.c * n);
 
   double t = GaussianTangentPoint(g, 0.5 * (s1_min + s1_max), n, xi.x_min,
                                   xi.x_max);
+  const double e_t = ClampedExpNeg(t);
   if (xi.x_max - t < kDegenerateInterval) {
-    LinearCoeffs lower = ExpTangentLower(t);
+    LinearCoeffs lower = ExpTangentLower(t, e_t);
     b.lower = w * (MinTerm(lower.m, sx_min, sx_max) + lower.k * n);
   } else {
-    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max);
+    QuadraticCoeffs lower = ExpQuadLower(t, xi.x_max, e_t, k.k_max);
     b.lower = w * (MinTerm(lower.a, sxsq_min, sxsq_max) +
                    MinTerm(lower.b, sx_min, sx_max) + lower.c * n);
   }
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -219,6 +245,7 @@ QuadDistanceKernelBounds::QuadDistanceKernelBounds(
 
 BoundPair QuadDistanceKernelBounds::Evaluate(const NodeStats& stats,
                                              const Point& q) const {
+  const double n = stats.n();
   XInterval xi = ProfileInterval(params_, stats.mbr(), q);
   // sum_i x_i^2 = gamma^2 * S1 — the only aggregate these bounds need
   // (Lemma 4: O(d) time).
@@ -227,11 +254,11 @@ BoundPair QuadDistanceKernelBounds::Evaluate(const NodeStats& stats,
 
   switch (params_.type) {
     case KernelType::kTriangular:
-      return EvaluateTriangular(stats, xi, sum_x_sq);
+      return EvaluateTriangular(n, xi, sum_x_sq);
     case KernelType::kCosine:
-      return EvaluateCosine(stats, xi, sum_x_sq);
+      return EvaluateCosine(n, xi, sum_x_sq);
     case KernelType::kExponential:
-      return EvaluateExponential(stats, xi, sum_x_sq);
+      return EvaluateExponential(n, xi, sum_x_sq);
     default:
       KDV_CHECK_MSG(false, "unreachable kernel type");
   }
@@ -239,7 +266,7 @@ BoundPair QuadDistanceKernelBounds::Evaluate(const NodeStats& stats,
 
 BoundPair QuadDistanceKernelBounds::EvaluateRegion(
     const NodeStats& stats, const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   const double w = params_.weight;
   XInterval xi = RegionProfileInterval(params_, stats.mbr(), query_rect);
 
@@ -250,13 +277,16 @@ BoundPair QuadDistanceKernelBounds::EvaluateRegion(
   const double sxsq_max = g2 * s1_max;
 
   BoundPair b;
+  ProfileEnds k;
   switch (params_.type) {
     case KernelType::kTriangular: {
       if (xi.x_min >= 1.0) return BoundPair{0.0, 0.0};
+      k = EvalProfileEnds(params_, xi);
       if (xi.x_max - xi.x_min < kDegenerateInterval) {
-        return TrivialBounds(params_, n, xi);
+        return TrivialBounds(params_, n, k);
       }
-      QuadraticCoeffs upper = TriangularQuadUpper(xi.x_min, xi.x_max);
+      QuadraticCoeffs upper =
+          TriangularQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
       b.upper = w * (MaxTerm(upper.a, sxsq_min, sxsq_max) + upper.c * n);
       // Theorem 2 closed form, minimized over the S1 range (the bound is
       // decreasing in sum x_i^2).
@@ -266,55 +296,59 @@ BoundPair QuadDistanceKernelBounds::EvaluateRegion(
     case KernelType::kCosine: {
       const double half_pi = kPi / 2.0;
       if (xi.x_min >= half_pi) return BoundPair{0.0, 0.0};
+      k = EvalProfileEnds(params_, xi);
       if (xi.x_max - xi.x_min < kDegenerateInterval) {
-        return TrivialBounds(params_, n, xi);
+        return TrivialBounds(params_, n, k);
       }
       if (xi.x_max <= half_pi) {
-        QuadraticCoeffs upper = CosineQuadUpper(xi.x_min, xi.x_max);
+        QuadraticCoeffs upper =
+            CosineQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
         b.upper = w * (MaxTerm(upper.a, sxsq_min, sxsq_max) + upper.c * n);
       } else {
-        b.upper = n * w * std::cos(xi.x_min);
+        b.upper = n * w * k.k_min;
       }
-      double x_max_eff = std::min(xi.x_max, half_pi);
-      QuadraticCoeffs lower = CosineQuadLower(x_max_eff);
+      QuadraticCoeffs lower = CosineLowerClamped(xi.x_max, k.k_max);
       b.lower = w * (MinTerm(lower.a, sxsq_min, sxsq_max) + lower.c * n);
       break;
     }
     case KernelType::kExponential: {
+      k = ExpEnds(xi);
       if (xi.x_max - xi.x_min < kDegenerateInterval) {
-        return TrivialBounds(params_, n, xi);
+        return TrivialBounds(params_, n, k);
       }
-      QuadraticCoeffs upper = ExponentialQuadUpper(xi.x_min, xi.x_max);
+      QuadraticCoeffs upper =
+          ExponentialQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
       b.upper = w * (MaxTerm(upper.a, sxsq_min, sxsq_max) + upper.c * n);
       double t = ExponentialTangentPoint(params_.gamma,
                                          0.5 * (s1_min + s1_max), n,
                                          xi.x_min, xi.x_max);
       if (t <= kDegenerateInterval) {
-        return Finalize(TrivialBounds(params_, n, xi), n, xi);
+        return Finalize(TrivialBounds(params_, n, k), n, k);
       }
-      QuadraticCoeffs lower = ExponentialQuadLower(t);
+      QuadraticCoeffs lower = ExponentialQuadLower(t, ClampedExpNeg(t));
       b.lower = w * (MinTerm(lower.a, sxsq_min, sxsq_max) + lower.c * n);
       break;
     }
     default:
       KDV_CHECK_MSG(false, "unreachable kernel type");
   }
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 BoundPair QuadDistanceKernelBounds::EvaluateTriangular(
-    const NodeStats& stats, const XInterval& xi, double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
+    double n, const XInterval& xi, double sum_x_sq) const {
   const double w = params_.weight;
 
   // Entire node beyond the kernel support: contribution is exactly 0.
   if (xi.x_min >= 1.0) return BoundPair{0.0, 0.0};
+  const ProfileEnds k = EvalProfileEnds(params_, xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   BoundPair b;
-  QuadraticCoeffs upper = TriangularQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper =
+      TriangularQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (upper.a * sum_x_sq + upper.c * n);
 
   // Theorem 2 / Lemma 6 closed form of the optimal lower bound:
@@ -323,55 +357,53 @@ BoundPair QuadDistanceKernelBounds::EvaluateTriangular(
   // kernel is 0, so it stays below).
   b.lower = w * (n - std::sqrt(n * sum_x_sq));
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
-BoundPair QuadDistanceKernelBounds::EvaluateCosine(const NodeStats& stats,
+BoundPair QuadDistanceKernelBounds::EvaluateCosine(double n,
                                                    const XInterval& xi,
                                                    double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
   const double w = params_.weight;
   const double half_pi = kPi / 2.0;
 
   if (xi.x_min >= half_pi) return BoundPair{0.0, 0.0};
+  const ProfileEnds k = EvalProfileEnds(params_, xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   BoundPair b;
   if (xi.x_max <= half_pi) {
     // Lemma 9: interpolating quadratic upper bound, valid on [0, pi/2].
-    QuadraticCoeffs upper = CosineQuadUpper(xi.x_min, xi.x_max);
+    QuadraticCoeffs upper =
+        CosineQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
     b.upper = w * (upper.a * sum_x_sq + upper.c * n);
   } else {
     // Node straddles the support edge: the interpolation argument breaks
     // (cos is concave, the zero-clamped profile is not), keep the trivial
     // upper bound n*w*cos(x_min). Correctness first; only boundary nodes
     // lose tightness.
-    b.upper = n * w * std::cos(xi.x_min);
+    b.upper = n * w * k.k_min;
   }
 
-  // Lemma 10 lower bound with x_max clamped to the support edge. For
-  // x > pi/2 the quadratic is <= 0 <= K, so it remains a valid lower bound
-  // when the node straddles the edge.
-  double x_max_eff = std::min(xi.x_max, half_pi);
-  QuadraticCoeffs lower = CosineQuadLower(x_max_eff);
+  QuadraticCoeffs lower = CosineLowerClamped(xi.x_max, k.k_max);
   b.lower = w * (lower.a * sum_x_sq + lower.c * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 BoundPair QuadDistanceKernelBounds::EvaluateExponential(
-    const NodeStats& stats, const XInterval& xi, double sum_x_sq) const {
-  const double n = static_cast<double>(stats.count());
+    double n, const XInterval& xi, double sum_x_sq) const {
   const double w = params_.weight;
 
+  const ProfileEnds k = ExpEnds(xi);
   if (xi.x_max - xi.x_min < kDegenerateInterval) {
-    return TrivialBounds(params_, n, xi);
+    return TrivialBounds(params_, n, k);
   }
 
   BoundPair b;
-  QuadraticCoeffs upper = ExponentialQuadUpper(xi.x_min, xi.x_max);
+  QuadraticCoeffs upper =
+      ExponentialQuadUpper(xi.x_min, xi.x_max, k.k_min, k.k_max);
   b.upper = w * (upper.a * sum_x_sq + upper.c * n);
 
   double t = ExponentialTangentPoint(params_.gamma, sum_x_sq /
@@ -379,12 +411,12 @@ BoundPair QuadDistanceKernelBounds::EvaluateExponential(
                                      n, xi.x_min, xi.x_max);
   if (t <= kDegenerateInterval) {
     // All points effectively at the query: trivial bounds are exact.
-    return Finalize(TrivialBounds(params_, n, xi), n, xi);
+    return Finalize(TrivialBounds(params_, n, k), n, k);
   }
-  QuadraticCoeffs lower = ExponentialQuadLower(t);
+  QuadraticCoeffs lower = ExponentialQuadLower(t, ClampedExpNeg(t));
   b.lower = w * (lower.a * sum_x_sq + lower.c * n);
 
-  return Finalize(b, n, xi);
+  return Finalize(b, n, k);
 }
 
 // ---------------------------------------------------------------------------
@@ -403,7 +435,7 @@ PolynomialExactBounds::PolynomialExactBounds(const KernelParams& params,
 
 BoundPair PolynomialExactBounds::Evaluate(const NodeStats& stats,
                                           const Point& q) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   const double w = params_.weight;
   XInterval xi = ProfileInterval(params_, stats.mbr(), q);
 
@@ -445,14 +477,14 @@ BoundPair PolynomialExactBounds::Evaluate(const NodeStats& stats,
     default:
       KDV_CHECK_MSG(false, "unreachable kernel type");
   }
-  return Finalize(b, n, xi);
+  return Finalize(b, n, EvalProfileEnds(params_, xi));
 }
 
 BoundPair PolynomialExactBounds::EvaluateRegion(const NodeStats& stats,
                                                 const Rect& query_rect) const {
-  const double n = static_cast<double>(stats.count());
+  const double n = stats.n();
   const double w = params_.weight;
-  const Rect& mbr = stats.mbr();
+  const RectView mbr = stats.mbr();
   XInterval xi = RegionProfileInterval(params_, mbr, query_rect);
 
   if (xi.x_min >= 1.0) return BoundPair{0.0, 0.0};
@@ -500,7 +532,7 @@ BoundPair PolynomialExactBounds::EvaluateRegion(const NodeStats& stats,
     default:
       KDV_CHECK_MSG(false, "unreachable kernel type");
   }
-  return Finalize(b, n, xi);
+  return Finalize(b, n, EvalProfileEnds(params_, xi));
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ struct XInterval {
 };
 
 // Computes the profile-argument interval for a node MBR and pixel q.
-inline XInterval ProfileInterval(const KernelParams& params, const Rect& mbr,
+inline XInterval ProfileInterval(const KernelParams& params, RectView mbr,
                                  const Point& q) {
   XInterval xi;
   xi.x_min = params.XFromSquaredDistance(mbr.MinSquaredDistance(q));
@@ -44,12 +44,26 @@ inline XInterval ProfileInterval(const KernelParams& params, const Rect& mbr,
 // `query_rect`, via the rect-to-rect min/max distances between the query
 // region and the node MBR.
 inline XInterval RegionProfileInterval(const KernelParams& params,
-                                       const Rect& mbr,
-                                       const Rect& query_rect) {
+                                       RectView mbr, RectView query_rect) {
   XInterval xi;
   xi.x_min = params.XFromSquaredDistance(mbr.MinSquaredDistance(query_rect));
   xi.x_max = params.XFromSquaredDistance(mbr.MaxSquaredDistance(query_rect));
   return xi;
+}
+
+// Kernel-profile values at the ends of an XInterval: k_min = K(x_min) >=
+// k_max = K(x_max). A bound evaluation computes them once and shares them
+// between its analytic coefficients and the trivial clamp, so each distinct
+// profile argument costs one exp (or cos) per evaluation.
+struct ProfileEnds {
+  double k_min = 0.0;
+  double k_max = 0.0;
+};
+
+inline ProfileEnds EvalProfileEnds(const KernelParams& params,
+                                   const XInterval& xi) {
+  return {KernelProfile(params.type, xi.x_min),
+          KernelProfile(params.type, xi.x_max)};
 }
 
 // The classic min/max-distance bounds n*w*K(x_max) <= F_R(q) <= n*w*K(x_min)
@@ -57,10 +71,10 @@ inline XInterval RegionProfileInterval(const KernelParams& params,
 // aKDE/tKDC baselines and the safety clamp applied on top of the tighter
 // analytic bounds.
 inline BoundPair TrivialBounds(const KernelParams& params, double count,
-                               const XInterval& xi) {
+                               const ProfileEnds& k) {
   BoundPair b;
-  b.lower = count * params.weight * KernelProfile(params.type, xi.x_max);
-  b.upper = count * params.weight * KernelProfile(params.type, xi.x_min);
+  b.lower = count * params.weight * k.k_max;
+  b.upper = count * params.weight * k.k_min;
   return b;
 }
 
@@ -72,7 +86,8 @@ struct BoundsOptions {
   bool clamp_with_trivial = true;
 };
 
-// Strategy interface: evaluates node-level bounds on F_R(q).
+// Strategy interface: evaluates node-level bounds on F_R(q). `stats` is a
+// view of one KdTree node record (tree.node(id).stats).
 class NodeBounds {
  public:
   NodeBounds(const KernelParams& params, const BoundsOptions& options)
@@ -105,9 +120,9 @@ class NodeBounds {
  protected:
   // Applies the safety clamp (if enabled) and the lower >= 0 floor.
   BoundPair Finalize(BoundPair analytic, double count,
-                     const XInterval& xi) const {
+                     const ProfileEnds& k) const {
     if (options_.clamp_with_trivial) {
-      BoundPair trivial = TrivialBounds(params_, count, xi);
+      BoundPair trivial = TrivialBounds(params_, count, k);
       analytic.lower = std::max(analytic.lower, trivial.lower);
       analytic.upper = std::min(analytic.upper, trivial.upper);
     }
@@ -168,11 +183,11 @@ class QuadDistanceKernelBounds final : public NodeBounds {
   const char* name() const override { return "QUAD"; }
 
  private:
-  BoundPair EvaluateTriangular(const NodeStats& stats, const XInterval& xi,
+  BoundPair EvaluateTriangular(double n, const XInterval& xi,
                                double sum_x_sq) const;
-  BoundPair EvaluateCosine(const NodeStats& stats, const XInterval& xi,
+  BoundPair EvaluateCosine(double n, const XInterval& xi,
                            double sum_x_sq) const;
-  BoundPair EvaluateExponential(const NodeStats& stats, const XInterval& xi,
+  BoundPair EvaluateExponential(double n, const XInterval& xi,
                                 double sum_x_sq) const;
 };
 

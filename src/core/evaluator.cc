@@ -54,7 +54,7 @@ KdeEvaluator::KdeEvaluator(const KdTree* tree, const KernelParams& params,
 }
 
 double KdeEvaluator::EvaluateExact(const Point& q) const {
-  const KdTree::Node& root = tree_->node(tree_->root());
+  const KdTree::Node root = tree_->node(tree_->root());
   return kdv::LeafSum(*tree_, params_, root.begin, root.end, q);
 }
 

@@ -240,7 +240,7 @@ bool RefinementStream::Step() {
     QueueEntry top = Pop();
     lb_ -= top.lower;
     ub_ -= top.upper;
-    const KdTree::Node& node = tree_->node(top.node);
+    const KdTree::Node node = tree_->node(top.node);
     if (node.IsLeaf()) {
       double exact = LeafSum(node);
       points_scanned_ += node.count();

@@ -149,7 +149,7 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       heap.push_back(top);
       break;
     }
-    const KdTree::Node& node = tree_->node(top.node);
+    const KdTree::Node node = tree_->node(top.node);
     if (node.IsLeaf()) {
       deferred.push_back(top);
       continue;

@@ -1,6 +1,8 @@
 #include "index/kdtree.h"
 
 #include <algorithm>
+#include <cstring>
+#include <new>
 #include <numeric>
 
 #include "util/check.h"
@@ -31,17 +33,34 @@ KdTree::KdTree(PointSet points, Options options) {
   // input-order permutation is available to callers with per-point payloads.
   original_indices_.resize(points.size());
   std::iota(original_indices_.begin(), original_indices_.end(), 0u);
-  nodes_.reserve(2 * (points.size() / leaf_size + 1));
-  BuildRecursive(points, 0, points.size(), leaf_size);
+  std::vector<Topology> nodes;
+  nodes.reserve(2 * (points.size() / leaf_size + 1));
+  BuildRecursive(points, 0, points.size(), leaf_size, &nodes);
 
-  // Phase 2: gather points into tree order and fill per-node aggregates.
+  // Phase 2: gather points into tree order and fill the node records.
   points_.reserve(points.size());
   for (uint32_t idx : original_indices_) points_.push_back(points[idx]);
-  for (Node& node : nodes_) {
-    node.stats =
-        NodeStats::Compute(points_.data() + node.begin, node.count());
-  }
+  FillRecords(nodes);
   BuildSoA();
+}
+
+void KdTree::FillRecords(const std::vector<Topology>& nodes) {
+  static_assert(sizeof(Topology) == 2 * sizeof(double));
+  constexpr size_t kGranule = kRecordAlign / sizeof(double);
+  stride_ = (kTopologyDoubles + NodeStats::BlockSize(dim_) + kGranule - 1) /
+            kGranule * kGranule;
+  num_nodes_ = nodes.size();
+  const size_t total = num_nodes_ * stride_;
+  records_.reset(static_cast<double*>(::operator new[](
+      total * sizeof(double), std::align_val_t(kRecordAlign))));
+  std::fill(records_.get(), records_.get() + total, 0.0);  // padding too
+  for (size_t id = 0; id < num_nodes_; ++id) {
+    double* rec = records_.get() + id * stride_;
+    const Topology& t = nodes[id];
+    std::memcpy(rec, &t, sizeof(t));
+    NodeStats::Accumulate(points_.data() + t.begin, t.count(),
+                          rec + kTopologyDoubles);
+  }
 }
 
 void KdTree::BuildSoA() {
@@ -54,14 +73,15 @@ void KdTree::BuildSoA() {
 }
 
 int32_t KdTree::BuildRecursive(const PointSet& input, size_t begin,
-                               size_t end, size_t leaf_size) {
+                               size_t end, size_t leaf_size,
+                               std::vector<Topology>* nodes) {
   KDV_DCHECK(begin < end);
-  const int32_t id = static_cast<int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  // Note: nodes_ may reallocate during recursion; never hold a Node&
+  const int32_t id = static_cast<int32_t>(nodes->size());
+  nodes->emplace_back();
+  // Note: *nodes may reallocate during recursion; never hold a Topology&
   // across a recursive call.
-  nodes_[id].begin = static_cast<uint32_t>(begin);
-  nodes_[id].end = static_cast<uint32_t>(end);
+  (*nodes)[id].begin = static_cast<uint32_t>(begin);
+  (*nodes)[id].end = static_cast<uint32_t>(end);
 
   if (end - begin > leaf_size) {
     const int split_dim =
@@ -76,17 +96,17 @@ int32_t KdTree::BuildRecursive(const PointSet& input, size_t begin,
                      });
     // nth_element guarantees begin < mid < end, so both sides are non-empty
     // even when all coordinates along split_dim are equal.
-    int32_t left = BuildRecursive(input, begin, mid, leaf_size);
-    int32_t right = BuildRecursive(input, mid, end, leaf_size);
-    nodes_[id].left = left;
-    nodes_[id].right = right;
+    int32_t left = BuildRecursive(input, begin, mid, leaf_size, nodes);
+    int32_t right = BuildRecursive(input, mid, end, leaf_size, nodes);
+    (*nodes)[id].left = left;
+    (*nodes)[id].right = right;
   }
   return id;
 }
 
 StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
     PointSet points, std::vector<uint32_t> original_indices,
-    std::vector<Node> nodes) {
+    std::vector<Topology> nodes) {
   if (points.empty()) return DataLossError("serialized tree has no points");
   if (nodes.empty()) return DataLossError("serialized tree has no nodes");
   if (original_indices.size() != points.size()) {
@@ -128,7 +148,7 @@ StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
     }
     visited[id] = true;
     ++reached;
-    const Node& node = nodes[id];
+    const Topology& node = nodes[id];
     if (node.begin >= node.end || node.end > n) {
       return DataLossError("node point range is empty or out of bounds");
     }
@@ -142,8 +162,8 @@ StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
           static_cast<size_t>(node.right) >= nodes.size()) {
         return DataLossError("node child id out of range");
       }
-      const Node& l = nodes[node.left];
-      const Node& r = nodes[node.right];
+      const Topology& l = nodes[node.left];
+      const Topology& r = nodes[node.right];
       if (l.begin != node.begin || l.end != r.begin || r.end != node.end) {
         return DataLossError("child ranges do not partition their parent");
       }
@@ -159,11 +179,7 @@ StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
   tree->dim_ = dim;
   tree->points_ = std::move(points);
   tree->original_indices_ = std::move(original_indices);
-  tree->nodes_ = std::move(nodes);
-  for (Node& node : tree->nodes_) {
-    node.stats = NodeStats::Compute(tree->points_.data() + node.begin,
-                                    node.count());
-  }
+  tree->FillRecords(nodes);
   tree->BuildSoA();
   return tree;
 }
@@ -171,7 +187,7 @@ StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
 int KdTree::Depth() const { return DepthRecursive(root()); }
 
 int KdTree::DepthRecursive(int32_t id) const {
-  const Node& n = nodes_[id];
+  const Node n = node(id);
   if (n.IsLeaf()) return 1;
   return 1 + std::max(DepthRecursive(n.left), DepthRecursive(n.right));
 }

@@ -8,28 +8,37 @@
 #define QUADKDV_INDEX_KDTREE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "geom/point.h"
 #include "index/node_stats.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace kdv {
 
-// Immutable balanced kd-tree. Nodes are stored in a flat array; points are
-// reordered into a contiguous array so each node owns the slice
-// [begin, end). Median splits on the widest MBR dimension give O(log n)
-// depth.
+// Immutable balanced kd-tree. Points are reordered into a contiguous array
+// so each node owns the slice [begin, end). Median splits on the widest MBR
+// dimension give O(log n) depth.
+//
+// Nodes live in one contiguous, 64-byte-aligned array of fixed-stride
+// records, one per node, holding everything a traversal step reads: the
+// topology (begin, end, left, right; 16 bytes) followed by the node's
+// aggregate block (index/node_stats.h). The stride is that size rounded up
+// to a multiple of 64 bytes, so a record never shares a cache line with its
+// neighbour: 128 bytes (two lines) for 2-d data. No node owns heap memory.
 //
 // Thread safety: the tree is deeply immutable once the constructor returns
 // (the accessors are all const and there is no caching), so it may be read
 // concurrently without synchronization.
 class KdTree {
  public:
-  struct Node {
-    NodeStats stats;
+  // The first 16 bytes of every node record.
+  struct Topology {
     uint32_t begin = 0;  // first point index (into points())
     uint32_t end = 0;    // one past last point index
     int32_t left = -1;   // child node ids; -1 for leaves
@@ -38,6 +47,15 @@ class KdTree {
     bool IsLeaf() const { return left < 0; }
     size_t count() const { return end - begin; }
   };
+
+  // One node as read from its record: the topology by value plus a view of
+  // the aggregates. Cheap to copy; the view is valid while the tree lives.
+  struct Node : Topology {
+    NodeStats stats;
+  };
+
+  // Record alignment and stride granule, in bytes.
+  static constexpr size_t kRecordAlign = 64;
 
   struct Options {
     // Maximum number of points per leaf; Scikit-learn's default is 40.
@@ -49,13 +67,13 @@ class KdTree {
   KdTree(PointSet points, Options options);
 
   // Reassembles a tree from serialized parts (see index/serialization.h):
-  // points in tree order, the build permutation, and the node structure
-  // (stats are recomputed). Every structural invariant is re-verified;
+  // points in tree order, the build permutation, and the node topology
+  // (aggregates are recomputed). Every structural invariant is re-verified;
   // returns DataLoss with a description of the first violated invariant
   // rather than trusting the input.
   static StatusOr<std::unique_ptr<KdTree>> FromSerialized(
       PointSet points, std::vector<uint32_t> original_indices,
-      std::vector<Node> nodes);
+      std::vector<Topology> nodes);
 
   KdTree(const KdTree&) = delete;
   KdTree& operator=(const KdTree&) = delete;
@@ -63,10 +81,23 @@ class KdTree {
   KdTree& operator=(KdTree&&) = default;
 
   int32_t root() const { return 0; }
-  const Node& node(int32_t id) const { return nodes_[id]; }
-  size_t num_nodes() const { return nodes_.size(); }
+  Node node(int32_t id) const {
+    const double* rec = record(id);
+    Topology t;
+    std::memcpy(static_cast<void*>(&t), rec, sizeof(t));
+    return Node{t, NodeStats(rec + kTopologyDoubles, dim_)};
+  }
+  size_t num_nodes() const { return num_nodes_; }
   size_t num_points() const { return points_.size(); }
   int dim() const { return dim_; }
+
+  // The raw record of node `id` (topology, then aggregates), and the record
+  // stride in bytes. For layout checks; everything else reads node(id).
+  const double* record(int32_t id) const {
+    KDV_DCHECK(id >= 0 && static_cast<size_t>(id) < num_nodes_);
+    return records_.get() + static_cast<size_t>(id) * stride_;
+  }
+  size_t record_bytes() const { return stride_ * sizeof(double); }
 
   // Points in tree order; node(id) owns points()[node.begin, node.end).
   const PointSet& points() const { return points_; }
@@ -94,17 +125,29 @@ class KdTree {
   int Depth() const;
 
  private:
+  static constexpr size_t kTopologyDoubles = sizeof(Topology) / sizeof(double);
+  struct AlignedFree {
+    void operator()(double* p) const {
+      ::operator delete[](p, std::align_val_t(kRecordAlign));
+    }
+  };
+
   KdTree() = default;  // for FromSerialized
 
   int32_t BuildRecursive(const PointSet& input, size_t begin, size_t end,
-                         size_t leaf_size);
+                         size_t leaf_size, std::vector<Topology>* nodes);
   int DepthRecursive(int32_t id) const;
+  // Allocates the record array and fills every record from `nodes` and
+  // points_ (which must already be in tree order).
+  void FillRecords(const std::vector<Topology>& nodes);
   // Fills soa_coords_ from points_ (dim-major, num_points-stride).
   void BuildSoA();
 
   PointSet points_;
   std::vector<uint32_t> original_indices_;
-  std::vector<Node> nodes_;
+  std::unique_ptr<double[], AlignedFree> records_;
+  size_t num_nodes_ = 0;
+  size_t stride_ = 0;  // doubles per record
   std::vector<double> soa_coords_;  // dim_ arrays of num_points() doubles
   int dim_ = 0;
 };

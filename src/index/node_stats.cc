@@ -1,59 +1,54 @@
 #include "index/node_stats.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 
 namespace kdv {
 
-NodeStats NodeStats::Compute(const Point* points, size_t count) {
+void NodeStats::Accumulate(const Point* points, size_t count, double* block) {
   KDV_CHECK(count > 0);
   const int d = points[0].dim();
-
-  NodeStats s;
-  s.count_ = count;
-  s.dim_ = d;
-  s.mbr_ = Rect(d);
-  s.sum_ = Point(d);
-  s.sum_sq_norm_p_ = Point(d);
-  s.outer_.assign(static_cast<size_t>(d) * d, 0.0);
+  std::fill(block, block + BlockSize(d), 0.0);
+  block[0] = static_cast<double>(count);
+  double* lo = block + 1;
+  double* hi = lo + d;
+  double* sum = hi + d;
+  double& sum_sq_norm = sum[d];
+  double* sum_sq_norm_p = sum + d + 1;
+  double& sum_quartic_norm = sum_sq_norm_p[d];
+  double* outer = sum_sq_norm_p + d + 1;
+  std::fill(lo, lo + d, std::numeric_limits<double>::infinity());
+  std::fill(hi, hi + d, -std::numeric_limits<double>::infinity());
 
   for (size_t i = 0; i < count; ++i) {
     const Point& p = points[i];
     KDV_DCHECK(p.dim() == d);
-    s.mbr_.Expand(p);
     double sq = p.SquaredNorm();
-    s.sum_sq_norm_ += sq;
-    s.sum_quartic_norm_ += sq * sq;
+    sum_sq_norm += sq;
+    sum_quartic_norm += sq * sq;
+    double* c_row = outer;
     for (int a = 0; a < d; ++a) {
-      s.sum_[a] += p[a];
-      s.sum_sq_norm_p_[a] += sq * p[a];
-      for (int b = 0; b < d; ++b) {
-        s.outer_[static_cast<size_t>(a) * d + b] += p[a] * p[b];
-      }
+      lo[a] = std::min(lo[a], p[a]);
+      hi[a] = std::max(hi[a], p[a]);
+      sum[a] += p[a];
+      sum_sq_norm_p[a] += sq * p[a];
+      for (int b = a; b < d; ++b) c_row[b - a] += p[a] * p[b];
+      c_row += d - a;
     }
   }
-  return s;
 }
 
-double NodeStats::SumSquaredDistances(const Point& q) const {
-  KDV_DCHECK(q.dim() == dim_);
-  double s1 = static_cast<double>(count_) * q.SquaredNorm() -
-              2.0 * Dot(q, sum_) + sum_sq_norm_;
-  // Guard against negative values from floating-point cancellation; the true
-  // quantity is a sum of squares.
-  return std::max(s1, 0.0);
-}
-
-void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
-                                         double* s1_min,
+void NodeStats::SumSquaredDistancesRange(RectView query_rect, double* s1_min,
                                          double* s1_max) const {
   KDV_DCHECK(query_rect.dim() == dim_);
-  const double n = static_cast<double>(count_);
-  double lo_total = sum_sq_norm_;
-  double hi_total = sum_sq_norm_;
+  const double n = this->n();
+  const double* sum = this->sum();
+  double lo_total = sum_sq_norm();
+  double hi_total = lo_total;
   for (int d = 0; d < dim_; ++d) {
-    const double a = sum_[d];
+    const double a = sum[d];
     const double lo = query_rect.lo(d);
     const double hi = query_rect.hi(d);
     // f(t) = n*t^2 - 2*a*t, convex with vertex at a/n.
@@ -67,28 +62,6 @@ void NodeStats::SumSquaredDistancesRange(const Rect& query_rect,
   // sum of squares, so negatives are floating-point artifacts.
   *s1_min = std::max(lo_total, 0.0);
   *s1_max = std::max(hi_total, *s1_min);
-}
-
-double NodeStats::SumQuarticDistances(const Point& q) const {
-  KDV_DCHECK(q.dim() == dim_);
-  const double q_sq = q.SquaredNorm();
-  const double q_dot_a = Dot(q, sum_);
-  const double q_dot_v = Dot(q, sum_sq_norm_p_);
-
-  // q^T C q in O(d^2).
-  double qcq = 0.0;
-  const int d = dim_;
-  for (int a = 0; a < d; ++a) {
-    double row = 0.0;
-    const double* c_row = outer_.data() + static_cast<size_t>(a) * d;
-    for (int b = 0; b < d; ++b) row += c_row[b] * q[b];
-    qcq += q[a] * row;
-  }
-
-  double s2 = static_cast<double>(count_) * q_sq * q_sq -
-              4.0 * q_sq * q_dot_a - 4.0 * q_dot_v + 2.0 * q_sq * sum_sq_norm_ +
-              sum_quartic_norm_ + 4.0 * qcq;
-  return std::max(s2, 0.0);
 }
 
 }  // namespace kdv

@@ -64,7 +64,7 @@ void AppendIndicesSection(const KdTree& tree, std::vector<char>* buf) {
 
 void AppendNodesSection(const KdTree& tree, std::vector<char>* buf) {
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
-    const KdTree::Node& node = tree.node(static_cast<int32_t>(i));
+    const KdTree::Node node = tree.node(static_cast<int32_t>(i));
     AppendPod(buf, node.begin);
     AppendPod(buf, node.end);
     AppendPod(buf, node.left);
@@ -203,7 +203,7 @@ StatusOr<std::unique_ptr<KdTree>> ParseSections(
     original_indices[i] = ParsePod<uint32_t>(cursor);
     cursor += sizeof(uint32_t);
   }
-  std::vector<KdTree::Node> nodes(h.num_nodes);
+  std::vector<KdTree::Topology> nodes(h.num_nodes);
   cursor = nodes_raw.data();
   for (uint64_t i = 0; i < h.num_nodes; ++i) {
     nodes[i].begin = ParsePod<uint32_t>(cursor);

@@ -82,15 +82,14 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
   auto node_bounds = [&](int32_t id) {
     QueueEntry e;
     e.node = id;
-    const KdTree::Node& node = tree_->node(id);
+    const KdTree::Node node = tree_->node(id);
     e.numer = EvaluateWeightedBounds(options_.method, params_,
                                      node.stats.mbr(), weights_->node(id), q,
                                      options_.bounds);
     e.denom = denom_bounds_->Evaluate(node.stats, q);
     // Numerator and denominator gaps are commensurable after scaling the
     // denominator gap by the node's mean target value.
-    double mean_y = weights_->node(id).weight_sum() /
-                    static_cast<double>(node.stats.count());
+    double mean_y = weights_->node(id).weight_sum() / node.stats.n();
     e.priority = (e.numer.upper - e.numer.lower) +
                  mean_y * (e.denom.upper - e.denom.lower);
     return e;
@@ -123,7 +122,7 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
     ub_n -= top.numer.upper;
     lb_d -= top.denom.lower;
     ub_d -= top.denom.upper;
-    const KdTree::Node& node = tree_->node(top.node);
+    const KdTree::Node node = tree_->node(top.node);
     if (node.IsLeaf()) {
       double exact_n = 0.0, exact_d = 0.0;
       for (uint32_t i = node.begin; i < node.end; ++i) {

@@ -20,7 +20,7 @@ namespace kdv {
 // polynomial kernels fall back to trivial bounds). Unsupported combinations
 // fall back to the trivial bounds, which are always valid.
 BoundPair EvaluateWeightedBounds(Method method, const KernelParams& params,
-                                 const Rect& mbr,
+                                 RectView mbr,
                                  const WeightedNodeStats& wstats,
                                  const Point& q,
                                  const BoundsOptions& options = {});

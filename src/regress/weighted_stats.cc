@@ -76,7 +76,7 @@ WeightedAugmentation::WeightedAugmentation(
   }
   stats_.resize(tree.num_nodes());
   for (size_t id = 0; id < tree.num_nodes(); ++id) {
-    const KdTree::Node& node = tree.node(static_cast<int32_t>(id));
+    const KdTree::Node node = tree.node(static_cast<int32_t>(id));
     stats_[id] = WeightedNodeStats::Compute(
         tree.points().data() + node.begin, y_.data() + node.begin,
         node.count());

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -131,9 +133,9 @@ TEST(KdTreeTest, ChildMbrsShrink) {
   KdTree tree(std::move(pts));
   const KdTree::Node& root = tree.node(tree.root());
   ASSERT_FALSE(root.IsLeaf());
-  const Rect& root_mbr = root.stats.mbr();
-  const Rect& l = tree.node(root.left).stats.mbr();
-  const Rect& r = tree.node(root.right).stats.mbr();
+  const RectView root_mbr = root.stats.mbr();
+  const RectView l = tree.node(root.left).stats.mbr();
+  const RectView r = tree.node(root.right).stats.mbr();
   for (int d = 0; d < 2; ++d) {
     EXPECT_GE(l.lo(d), root_mbr.lo(d));
     EXPECT_LE(l.hi(d), root_mbr.hi(d));
@@ -145,6 +147,95 @@ TEST(KdTreeTest, ChildMbrsShrink) {
   EXPECT_LE(l.Length(split), root_mbr.Length(split));
   EXPECT_LE(r.Length(split), root_mbr.Length(split));
 }
+
+// Node records: every aggregate equals (bitwise, EXPECT_EQ) a brute-force
+// accumulation over the node's point slice in tree order — including the
+// lower half of C, which the record does not store but reads back from the
+// upper triangle.
+class NodeRecordTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(NodeRecordTest, AggregatesEqualBruteForceOverSlice) {
+  const int d = GetParam();
+  Rng rng(40 + d);
+  PointSet pts;
+  for (int i = 0; i < 700; ++i) {
+    Point p(d);
+    for (int k = 0; k < d; ++k) p[k] = rng.Uniform(-3.0, 5.0);
+    pts.push_back(p);
+  }
+  KdTree::Options options;
+  options.leaf_size = 16;
+  KdTree tree(std::move(pts), options);
+  ASSERT_GT(tree.num_nodes(), 1u);
+
+  for (size_t id = 0; id < tree.num_nodes(); ++id) {
+    const KdTree::Node node = tree.node(static_cast<int32_t>(id));
+    const NodeStats& s = node.stats;
+    ASSERT_EQ(s.dim(), d);
+    Rect mbr(d);
+    std::vector<double> a(d, 0.0), v(d, 0.0), c(d * d, 0.0);
+    double b = 0.0, h = 0.0;
+    for (uint32_t i = node.begin; i < node.end; ++i) {
+      const Point& p = tree.points()[i];
+      mbr.Expand(p);
+      const double sq = p.SquaredNorm();
+      b += sq;
+      h += sq * sq;
+      for (int x = 0; x < d; ++x) {
+        a[x] += p[x];
+        v[x] += sq * p[x];
+        for (int y = 0; y < d; ++y) c[x * d + y] += p[x] * p[y];
+      }
+    }
+    EXPECT_EQ(s.count(), node.count());
+    EXPECT_EQ(s.n(), static_cast<double>(node.count()));
+    EXPECT_EQ(s.sum_sq_norm(), b);
+    EXPECT_EQ(s.sum_quartic_norm(), h);
+    for (int x = 0; x < d; ++x) {
+      EXPECT_EQ(s.mbr().lo(x), mbr.lo(x));
+      EXPECT_EQ(s.mbr().hi(x), mbr.hi(x));
+      EXPECT_EQ(s.sum()[x], a[x]);
+      EXPECT_EQ(s.sum_sq_norm_p()[x], v[x]);
+      for (int y = 0; y < d; ++y) {
+        EXPECT_EQ(s.outer_product_sum(x, y), c[x * d + y])
+            << "node " << id << " C[" << x << "][" << y << "]";
+      }
+    }
+  }
+}
+
+// One 64-byte-aligned array of fixed-stride records: each record starts on
+// a cache line, the stride is whole lines, and a 2-d node takes two.
+TEST_P(NodeRecordTest, RecordsAreAlignedWithWholeLineStride) {
+  const int d = GetParam();
+  Rng rng(50 + d);
+  PointSet pts;
+  for (int i = 0; i < 300; ++i) {
+    Point p(d);
+    for (int k = 0; k < d; ++k) p[k] = rng.NextDouble();
+    pts.push_back(p);
+  }
+  KdTree tree(std::move(pts));
+  EXPECT_EQ(tree.record_bytes() % KdTree::kRecordAlign, 0u);
+  EXPECT_GE(tree.record_bytes(),
+            sizeof(KdTree::Topology) + NodeStats::BlockSize(d) * 8);
+  if (d == 2) {
+    EXPECT_EQ(tree.record_bytes(), 128u);
+  }
+  for (size_t id = 0; id < tree.num_nodes(); ++id) {
+    const double* rec = tree.record(static_cast<int32_t>(id));
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(rec) % KdTree::kRecordAlign, 0u);
+    if (id > 0) {
+      EXPECT_EQ(reinterpret_cast<const char*>(rec) -
+                    reinterpret_cast<const char*>(
+                        tree.record(static_cast<int32_t>(id - 1))),
+                static_cast<ptrdiff_t>(tree.record_bytes()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, NodeRecordTest,
+                         ::testing::Values(1, 2, 3, 5, 16));
 
 }  // namespace
 }  // namespace kdv

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "bounds/node_bounds.h"
+#include "index/kdtree.h"
 #include "index/node_stats.h"
 #include "kernel/kernel.h"
 #include "util/random.h"
@@ -16,8 +17,17 @@
 namespace kdv {
 namespace {
 
+// A one-leaf tree keeps `pts` in input order, so its root record holds the
+// aggregates of exactly these points.
+std::unique_ptr<KdTree> OneLeafTree(const PointSet& pts) {
+  KdTree::Options options;
+  options.leaf_size = pts.size();
+  return std::make_unique<KdTree>(pts, options);
+}
+
 struct Cloud {
   PointSet points;
+  std::unique_ptr<KdTree> tree;  // owns the record `stats` views
   NodeStats stats;
 };
 
@@ -29,7 +39,8 @@ Cloud RandomCloud(Rng* rng, int n, double spread) {
     cloud.points.push_back(Point{cx + rng->Uniform(-spread, spread),
                                  cy + rng->Uniform(-spread, spread)});
   }
-  cloud.stats = NodeStats::Compute(cloud.points.data(), cloud.points.size());
+  cloud.tree = OneLeafTree(cloud.points);
+  cloud.stats = cloud.tree->node(cloud.tree->root()).stats;
   return cloud;
 }
 
@@ -193,7 +204,8 @@ TEST(BoundEdgeCaseTest, SinglePointNodeBoundsAreTight) {
     params.gamma = 1.5;
     params.weight = 0.5;
     PointSet pts{Point{0.25, -0.5}};
-    NodeStats stats = NodeStats::Compute(pts.data(), 1);
+    auto tree = OneLeafTree(pts);
+    NodeStats stats = tree->node(tree->root()).stats;
     std::unique_ptr<NodeBounds> bounds = MakeNodeBounds(Method::kQuad, params);
     Point q{1.0, 1.0};
     BoundPair b = bounds->Evaluate(stats, q);
@@ -224,7 +236,8 @@ TEST(BoundEdgeCaseTest, QueryInsideNodeMbr) {
 
 TEST(BoundEdgeCaseTest, FarAwayQueryFiniteSupportGivesExactZero) {
   PointSet pts{Point{0.0, 0.0}, Point{0.1, 0.1}};
-  NodeStats stats = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats stats = tree->node(tree->root()).stats;
   for (KernelType kernel : {KernelType::kTriangular, KernelType::kCosine,
                             KernelType::kUniform, KernelType::kEpanechnikov,
                             KernelType::kQuartic}) {

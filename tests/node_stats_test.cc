@@ -1,8 +1,10 @@
 #include <cmath>
+#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "geom/point.h"
+#include "index/kdtree.h"
 #include "index/node_stats.h"
 #include "util/random.h"
 
@@ -19,6 +21,14 @@ PointSet RandomPoints(int n, int dim, uint64_t seed, double lo = -2.0,
     pts.push_back(p);
   }
   return pts;
+}
+
+// A one-leaf tree keeps `pts` in input order, so its root record holds the
+// aggregates of exactly these points, accumulated in this order.
+std::unique_ptr<KdTree> OneLeafTree(const PointSet& pts) {
+  KdTree::Options options;
+  options.leaf_size = pts.size();
+  return std::make_unique<KdTree>(pts, options);
 }
 
 double BruteSumSq(const PointSet& pts, const Point& q) {
@@ -38,7 +48,8 @@ double BruteSumQuartic(const PointSet& pts, const Point& q) {
 
 TEST(NodeStatsTest, BasicAggregates) {
   PointSet pts{Point{1.0, 0.0}, Point{0.0, 2.0}, Point{3.0, 4.0}};
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   EXPECT_EQ(s.count(), 3u);
   EXPECT_EQ(s.dim(), 2);
   EXPECT_DOUBLE_EQ(s.sum()[0], 4.0);
@@ -49,9 +60,9 @@ TEST(NodeStatsTest, BasicAggregates) {
   EXPECT_DOUBLE_EQ(s.sum_sq_norm_p()[0], 1.0 * 1.0 + 4.0 * 0.0 + 25.0 * 3.0);
   EXPECT_DOUBLE_EQ(s.sum_sq_norm_p()[1], 1.0 * 0.0 + 4.0 * 2.0 + 25.0 * 4.0);
   // C = sum p p^T.
-  EXPECT_DOUBLE_EQ(s.outer_product_sum()[0], 1.0 + 0.0 + 9.0);    // xx
-  EXPECT_DOUBLE_EQ(s.outer_product_sum()[1], 0.0 + 0.0 + 12.0);   // xy
-  EXPECT_DOUBLE_EQ(s.outer_product_sum()[3], 0.0 + 4.0 + 16.0);   // yy
+  EXPECT_DOUBLE_EQ(s.outer_product_sum(0, 0), 1.0 + 0.0 + 9.0);    // xx
+  EXPECT_DOUBLE_EQ(s.outer_product_sum(0, 1), 0.0 + 0.0 + 12.0);   // xy
+  EXPECT_DOUBLE_EQ(s.outer_product_sum(1, 1), 0.0 + 4.0 + 16.0);   // yy
   EXPECT_TRUE(s.mbr().Contains(Point{1.0, 0.0}));
   EXPECT_DOUBLE_EQ(s.mbr().hi(0), 3.0);
 }
@@ -59,7 +70,8 @@ TEST(NodeStatsTest, BasicAggregates) {
 // Lemma 1 identity: S1 via aggregates equals brute force.
 TEST(NodeStatsTest, SumSquaredDistancesMatchesBruteForce2D) {
   PointSet pts = RandomPoints(100, 2, 1);
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   Rng rng(2);
   for (int i = 0; i < 50; ++i) {
     Point q{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
@@ -70,7 +82,8 @@ TEST(NodeStatsTest, SumSquaredDistancesMatchesBruteForce2D) {
 // Lemma 3 identity: S2 via aggregates equals brute force.
 TEST(NodeStatsTest, SumQuarticDistancesMatchesBruteForce2D) {
   PointSet pts = RandomPoints(100, 2, 3);
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   Rng rng(4);
   for (int i = 0; i < 50; ++i) {
     Point q{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
@@ -85,7 +98,8 @@ class NodeStatsDimTest : public ::testing::TestWithParam<int> {};
 TEST_P(NodeStatsDimTest, AggregateIdentitiesHold) {
   const int d = GetParam();
   PointSet pts = RandomPoints(60, d, 10 + d);
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   Rng rng(100 + d);
   for (int i = 0; i < 20; ++i) {
     Point q(d);
@@ -104,7 +118,8 @@ INSTANTIATE_TEST_SUITE_P(Dims, NodeStatsDimTest,
 
 TEST(NodeStatsTest, SinglePoint) {
   PointSet pts{Point{1.0, -1.0}};
-  NodeStats s = NodeStats::Compute(pts.data(), 1);
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   Point q{4.0, 3.0};
   double d2 = SquaredDistance(q, pts[0]);
   EXPECT_NEAR(s.SumSquaredDistances(q), d2, 1e-10);
@@ -114,7 +129,8 @@ TEST(NodeStatsTest, SinglePoint) {
 TEST(NodeStatsTest, QueryAtCentroidNonNegative) {
   // Cancellation stress: all points identical, query identical.
   PointSet pts(50, Point{0.3, 0.7});
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   EXPECT_GE(s.SumSquaredDistances(Point{0.3, 0.7}), 0.0);
   EXPECT_GE(s.SumQuarticDistances(Point{0.3, 0.7}), 0.0);
   EXPECT_NEAR(s.SumSquaredDistances(Point{0.3, 0.7}), 0.0, 1e-12);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "bounds/profile.h"
+#include "kernel/kernel.h"
 #include "util/random.h"
 
 namespace kdv {
@@ -33,7 +34,8 @@ TEST(ExpLinearTest, ChordUpperBoundsExpOnInterval) {
   Rng rng(1);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 8.0);
-    LinearCoeffs up = ExpChordUpper(lo, hi);
+    LinearCoeffs up = ExpChordUpper(lo, hi,
+                                    ClampedExpNeg(lo), ClampedExpNeg(hi));
     for (int i = 0; i <= 100; ++i) {
       double x = lo + (hi - lo) * i / 100.0;
       EXPECT_GE(up.Eval(x), std::exp(-x) - kTol)
@@ -49,7 +51,7 @@ TEST(ExpLinearTest, TangentLowerBoundsExpEverywhere) {
   Rng rng(2);
   for (int trial = 0; trial < 500; ++trial) {
     double t = rng.Uniform(0.0, 8.0);
-    LinearCoeffs low = ExpTangentLower(t);
+    LinearCoeffs low = ExpTangentLower(t, ClampedExpNeg(t));
     EXPECT_NEAR(low.Eval(t), std::exp(-t), 1e-12);  // touches at t
     for (int i = 0; i <= 100; ++i) {
       double x = rng.Uniform(0.0, 12.0);
@@ -66,7 +68,8 @@ TEST(ExpQuadTest, UpperInterpolatesEndpoints) {
   Rng rng(3);
   for (int trial = 0; trial < 200; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 6.0);
-    QuadraticCoeffs q = ExpQuadUpper(lo, hi);
+    QuadraticCoeffs q = ExpQuadUpper(lo, hi,
+                                     ClampedExpNeg(lo), ClampedExpNeg(hi));
     EXPECT_NEAR(q.Eval(lo), std::exp(-lo), 1e-10);
     EXPECT_NEAR(q.Eval(hi), std::exp(-hi), 1e-10);
   }
@@ -76,7 +79,8 @@ TEST(ExpQuadTest, UpperCurvatureIsNonNegative) {
   Rng rng(4);
   for (int trial = 0; trial < 200; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 6.0);
-    EXPECT_GE(ExpQuadUpper(lo, hi).a, -1e-15);
+    EXPECT_GE(ExpQuadUpper(lo, hi,
+                           ClampedExpNeg(lo), ClampedExpNeg(hi)).a, -1e-15);
   }
 }
 
@@ -85,7 +89,8 @@ TEST(ExpQuadTest, UpperBoundsExpOnInterval) {
   Rng rng(5);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 8.0);
-    QuadraticCoeffs q = ExpQuadUpper(lo, hi);
+    QuadraticCoeffs q = ExpQuadUpper(lo, hi,
+                                     ClampedExpNeg(lo), ClampedExpNeg(hi));
     for (int i = 0; i <= 200; ++i) {
       double x = lo + (hi - lo) * i / 200.0;
       EXPECT_GE(q.Eval(x), std::exp(-x) - kTol)
@@ -99,8 +104,10 @@ TEST(ExpQuadTest, UpperTighterThanChord) {
   Rng rng(6);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 8.0);
-    QuadraticCoeffs q = ExpQuadUpper(lo, hi);
-    LinearCoeffs lin = ExpChordUpper(lo, hi);
+    QuadraticCoeffs q = ExpQuadUpper(lo, hi,
+                                     ClampedExpNeg(lo), ClampedExpNeg(hi));
+    LinearCoeffs lin = ExpChordUpper(lo, hi,
+                                     ClampedExpNeg(lo), ClampedExpNeg(hi));
     for (int i = 0; i <= 100; ++i) {
       double x = lo + (hi - lo) * i / 100.0;
       EXPECT_LE(q.Eval(x), lin.Eval(x) + kTol);
@@ -113,7 +120,8 @@ TEST(ExpQuadTest, LowerTouchesTangentPointAndXmax) {
   for (int trial = 0; trial < 200; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 6.0);
     double t = rng.Uniform(lo, hi - 1e-7);
-    QuadraticCoeffs q = ExpQuadLower(t, hi);
+    QuadraticCoeffs q = ExpQuadLower(t, hi,
+                                     ClampedExpNeg(t), ClampedExpNeg(hi));
     EXPECT_NEAR(q.Eval(t), std::exp(-t), 1e-9);
     EXPECT_NEAR(q.Eval(hi), std::exp(-hi), 1e-9);
   }
@@ -125,7 +133,8 @@ TEST(ExpQuadTest, LowerBoundsExpOnInterval) {
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 8.0);
     double t = rng.Uniform(lo, hi - 1e-7);
-    QuadraticCoeffs q = ExpQuadLower(t, hi);
+    QuadraticCoeffs q = ExpQuadLower(t, hi,
+                                     ClampedExpNeg(t), ClampedExpNeg(hi));
     for (int i = 0; i <= 200; ++i) {
       double x = lo + (hi - lo) * i / 200.0;
       EXPECT_LE(q.Eval(x), std::exp(-x) + kTol)
@@ -140,8 +149,9 @@ TEST(ExpQuadTest, LowerTighterThanTangentLine) {
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 8.0);
     double t = rng.Uniform(lo, hi - 1e-7);
-    QuadraticCoeffs q = ExpQuadLower(t, hi);
-    LinearCoeffs lin = ExpTangentLower(t);
+    QuadraticCoeffs q = ExpQuadLower(t, hi,
+                                     ClampedExpNeg(t), ClampedExpNeg(hi));
+    LinearCoeffs lin = ExpTangentLower(t, ClampedExpNeg(t));
     for (int i = 0; i <= 100; ++i) {
       double x = lo + (hi - lo) * i / 100.0;
       EXPECT_GE(q.Eval(x), lin.Eval(x) - kTol);
@@ -167,7 +177,8 @@ TEST(TriangularQuadTest, UpperInterpolatesEndpointsAndBounds) {
   Rng rng(10);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 2.0);
-    QuadraticCoeffs q = TriangularQuadUpper(lo, hi);
+    QuadraticCoeffs q = TriangularQuadUpper(lo, hi, TriangularProfile(lo),
+                                            TriangularProfile(hi));
     EXPECT_NEAR(q.Eval(lo), TriangularProfile(lo), 1e-10);
     EXPECT_NEAR(q.Eval(hi), TriangularProfile(hi), 1e-10);
     for (int i = 0; i <= 200; ++i) {
@@ -184,7 +195,8 @@ TEST(TriangularQuadTest, UpperTighterThanTrivial) {
   Rng rng(11);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 2.0);
-    QuadraticCoeffs q = TriangularQuadUpper(lo, hi);
+    QuadraticCoeffs q = TriangularQuadUpper(lo, hi, TriangularProfile(lo),
+                                            TriangularProfile(hi));
     double trivial = TriangularProfile(lo);
     for (int i = 0; i <= 50; ++i) {
       double x = lo + (hi - lo) * i / 50.0;
@@ -231,7 +243,7 @@ TEST(CosineQuadTest, UpperInterpolatesAndBoundsOnSupport) {
   for (int trial = 0; trial < 500; ++trial) {
     double lo = rng.Uniform(0.0, kPi / 2 - 1e-4);
     double hi = rng.Uniform(lo + 1e-6, kPi / 2);
-    QuadraticCoeffs q = CosineQuadUpper(lo, hi);
+    QuadraticCoeffs q = CosineQuadUpper(lo, hi, std::cos(lo), std::cos(hi));
     EXPECT_NEAR(q.Eval(lo), std::cos(lo), 1e-10);
     EXPECT_NEAR(q.Eval(hi), std::cos(hi), 1e-10);
     for (int i = 0; i <= 200; ++i) {
@@ -248,7 +260,7 @@ TEST(CosineQuadTest, UpperTighterThanTrivial) {
   for (int trial = 0; trial < 300; ++trial) {
     double lo = rng.Uniform(0.0, kPi / 2 - 1e-4);
     double hi = rng.Uniform(lo + 1e-6, kPi / 2);
-    QuadraticCoeffs q = CosineQuadUpper(lo, hi);
+    QuadraticCoeffs q = CosineQuadUpper(lo, hi, std::cos(lo), std::cos(hi));
     for (int i = 0; i <= 50; ++i) {
       double x = lo + (hi - lo) * i / 50.0;
       EXPECT_LE(q.Eval(x), std::cos(lo) + kTol);
@@ -262,7 +274,7 @@ TEST(CosineQuadTest, LowerBoundsClampedProfileEverywhere) {
   Rng rng(16);
   for (int trial = 0; trial < 500; ++trial) {
     double x_max = rng.Uniform(1e-3, kPi / 2);
-    QuadraticCoeffs q = CosineQuadLower(x_max);
+    QuadraticCoeffs q = CosineQuadLower(x_max, std::cos(x_max));
     EXPECT_NEAR(q.Eval(x_max), std::cos(x_max), 1e-10);  // touches
     for (int i = 0; i <= 300; ++i) {
       double x = 3.0 * i / 300.0;
@@ -280,7 +292,8 @@ TEST(ExponentialQuadTest, UpperInterpolatesAndBounds) {
   Rng rng(17);
   for (int trial = 0; trial < 500; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 6.0);
-    QuadraticCoeffs q = ExponentialQuadUpper(lo, hi);
+    QuadraticCoeffs q = ExponentialQuadUpper(
+        lo, hi, ClampedExpNeg(lo), ClampedExpNeg(hi));
     EXPECT_NEAR(q.Eval(lo), std::exp(-lo), 1e-10);
     EXPECT_NEAR(q.Eval(hi), std::exp(-hi), 1e-10);
     for (int i = 0; i <= 200; ++i) {
@@ -294,7 +307,8 @@ TEST(ExponentialQuadTest, UpperTighterThanTrivial) {
   Rng rng(18);
   for (int trial = 0; trial < 300; ++trial) {
     auto [lo, hi] = RandomInterval(&rng, 6.0);
-    QuadraticCoeffs q = ExponentialQuadUpper(lo, hi);
+    QuadraticCoeffs q = ExponentialQuadUpper(
+        lo, hi, ClampedExpNeg(lo), ClampedExpNeg(hi));
     for (int i = 0; i <= 50; ++i) {
       double x = lo + (hi - lo) * i / 50.0;
       EXPECT_LE(q.Eval(x), std::exp(-lo) + kTol);
@@ -307,7 +321,7 @@ TEST(ExponentialQuadTest, LowerBoundsExpEverywhere) {
   Rng rng(19);
   for (int trial = 0; trial < 500; ++trial) {
     double t = rng.Uniform(1e-3, 6.0);
-    QuadraticCoeffs q = ExponentialQuadLower(t);
+    QuadraticCoeffs q = ExponentialQuadLower(t, ClampedExpNeg(t));
     EXPECT_NEAR(q.Eval(t), std::exp(-t), 1e-10);  // touches at t
     for (int i = 0; i <= 300; ++i) {
       double x = 10.0 * i / 300.0;

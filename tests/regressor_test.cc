@@ -1,8 +1,10 @@
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "index/kdtree.h"
 #include "regress/kernel_regressor.h"
 #include "regress/weighted_bounds.h"
 #include "regress/weighted_stats.h"
@@ -10,6 +12,14 @@
 
 namespace kdv {
 namespace {
+
+// A one-leaf tree keeps `pts` in input order, so its root record holds the
+// aggregates of exactly these points.
+std::unique_ptr<KdTree> OneLeafTree(const PointSet& pts) {
+  KdTree::Options options;
+  options.leaf_size = pts.size();
+  return std::make_unique<KdTree>(pts, options);
+}
 
 // ---------------------------------------------------------------------------
 // WeightedNodeStats
@@ -54,7 +64,8 @@ TEST(WeightedStatsTest, UnitWeightsReduceToNodeStats) {
   }
   WeightedNodeStats ws =
       WeightedNodeStats::Compute(pts.data(), ones.data(), pts.size());
-  NodeStats s = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats s = tree->node(tree->root()).stats;
   Point q{0.5, 0.5};
   EXPECT_NEAR(ws.weight_sum(), static_cast<double>(s.count()), 1e-12);
   EXPECT_NEAR(ws.WeightedSumSquaredDistances(q), s.SumSquaredDistances(q),
@@ -105,7 +116,8 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
                               cy + rng.Uniform(-spread, spread)});
           y.push_back(rng.Uniform(0.0, 3.0));
         }
-        NodeStats stats = NodeStats::Compute(pts.data(), pts.size());
+        auto tree = OneLeafTree(pts);
+        NodeStats stats = tree->node(tree->root()).stats;
         WeightedNodeStats wstats =
             WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
 
@@ -136,7 +148,8 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
 TEST(WeightedBoundsTest, ZeroWeightNodeIsExactZero) {
   PointSet pts{Point{0.0, 0.0}, Point{1.0, 1.0}};
   std::vector<double> y{0.0, 0.0};
-  NodeStats stats = NodeStats::Compute(pts.data(), pts.size());
+  auto tree = OneLeafTree(pts);
+  NodeStats stats = tree->node(tree->root()).stats;
   WeightedNodeStats wstats =
       WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
   KernelParams params;

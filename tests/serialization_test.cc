@@ -1,6 +1,9 @@
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,36 @@ namespace {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+uint64_t Bits(double v) {
+  uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+// Every aggregate of a node record, compared bitwise: a reloaded tree must
+// recompute exactly what the saved one held (the on-disk format carries no
+// aggregates, only the points and topology they are rebuilt from).
+void ExpectStatsBitEqual(const NodeStats& a, const NodeStats& b, size_t id) {
+  const int d = a.dim();
+  ASSERT_EQ(b.dim(), d);
+  EXPECT_EQ(Bits(a.n()), Bits(b.n())) << "node " << id;
+  EXPECT_EQ(Bits(a.sum_sq_norm()), Bits(b.sum_sq_norm())) << "node " << id;
+  EXPECT_EQ(Bits(a.sum_quartic_norm()), Bits(b.sum_quartic_norm()))
+      << "node " << id;
+  for (int x = 0; x < d; ++x) {
+    EXPECT_EQ(Bits(a.mbr().lo(x)), Bits(b.mbr().lo(x))) << "node " << id;
+    EXPECT_EQ(Bits(a.mbr().hi(x)), Bits(b.mbr().hi(x))) << "node " << id;
+    EXPECT_EQ(Bits(a.sum()[x]), Bits(b.sum()[x])) << "node " << id;
+    EXPECT_EQ(Bits(a.sum_sq_norm_p()[x]), Bits(b.sum_sq_norm_p()[x]))
+        << "node " << id;
+    for (int y = 0; y < d; ++y) {
+      EXPECT_EQ(Bits(a.outer_product_sum(x, y)),
+                Bits(b.outer_product_sum(x, y)))
+          << "node " << id << " C[" << x << "][" << y << "]";
+    }
+  }
 }
 
 void ExpectTreesEqual(const KdTree& a, const KdTree& b) {
@@ -33,8 +66,7 @@ void ExpectTreesEqual(const KdTree& a, const KdTree& b) {
     EXPECT_EQ(na.end, nb.end);
     EXPECT_EQ(na.left, nb.left);
     EXPECT_EQ(na.right, nb.right);
-    // Recomputed stats match.
-    EXPECT_DOUBLE_EQ(na.stats.sum_sq_norm(), nb.stats.sum_sq_norm());
+    ExpectStatsBitEqual(na.stats, nb.stats, i);
   }
 }
 
@@ -70,6 +102,33 @@ TEST(SerializationTest, V1RoundTripStillReadable) {
   std::remove(path.c_str());
   std::remove(path_v2.c_str());
 }
+
+// Both file versions, at d = 2 and at d = 5 (where C has 15 distinct
+// entries): every node aggregate survives the round trip bit for bit.
+class AggregateRoundTripTest
+    : public ::testing::TestWithParam<std::tuple<int, uint32_t>> {};
+
+TEST_P(AggregateRoundTripTest, EveryAggregateOfEveryNodeIsBitIdentical) {
+  const auto [dim, version] = GetParam();
+  MixtureSpec spec;
+  spec.n = 1200;
+  spec.dim = dim;
+  spec.seed = 17;
+  KdTree tree{GenerateMixture(spec)};
+
+  std::string path = TempPath(("kdv_tree_agg_d" + std::to_string(dim) +
+                               "_v" + std::to_string(version) + ".bin")
+                                  .c_str());
+  ASSERT_TRUE(SaveKdTree(tree, path, version).ok());
+  StatusOr<std::unique_ptr<KdTree>> loaded = LoadKdTree(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectTreesEqual(tree, **loaded);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(DimsAndVersions, AggregateRoundTripTest,
+                         ::testing::Combine(::testing::Values(2, 5),
+                                            ::testing::Values(1u, 2u)));
 
 TEST(SerializationTest, RejectsUnsupportedSaveVersion) {
   PointSet pts = GenerateMixture(MixtureSpec{});
@@ -162,7 +221,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   KdTree tree{PointSet(pts)};
 
   // Clone the parts.
-  std::vector<KdTree::Node> nodes;
+  std::vector<KdTree::Topology> nodes;
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
     nodes.push_back(tree.node(static_cast<int32_t>(i)));
   }
@@ -179,7 +238,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   }
   // (b) Child range that does not partition the parent.
   if (!nodes[0].IsLeaf()) {
-    std::vector<KdTree::Node> bad = nodes;
+    std::vector<KdTree::Topology> bad = nodes;
     bad[bad[0].left].end -= 1;
     auto result = KdTree::FromSerialized(PointSet(tree.points()),
                                          tree.original_indices(), bad);
@@ -188,7 +247,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   }
   // (c) Cycle (node pointing at the root).
   if (!nodes[0].IsLeaf()) {
-    std::vector<KdTree::Node> bad = nodes;
+    std::vector<KdTree::Topology> bad = nodes;
     bad[bad[0].left].left = 0;
     bad[bad[0].left].right = 0;
     auto result = KdTree::FromSerialized(PointSet(tree.points()),
@@ -198,7 +257,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   }
   // (d) Root not covering all points.
   {
-    std::vector<KdTree::Node> bad = nodes;
+    std::vector<KdTree::Topology> bad = nodes;
     bad[0].end -= 1;
     auto result = KdTree::FromSerialized(PointSet(tree.points()),
                                          tree.original_indices(), bad);
