@@ -174,15 +174,35 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
 
 void RefinementStream::Push(const QueueEntry& entry) {
   heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), GapLess());
+  size_t hole = heap_.size() - 1;
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!PopsBefore(entry, heap_[parent])) break;
+    heap_[hole] = heap_[parent];
+    hole = parent;
+  }
+  heap_[hole] = entry;
   SyncCharge();
 }
 
-RefinementStream::QueueEntry RefinementStream::Pop() {
-  std::pop_heap(heap_.begin(), heap_.end(), GapLess());
-  QueueEntry top = heap_.back();
+void RefinementStream::PopTop() {
+  const QueueEntry last = heap_.back();
   heap_.pop_back();
-  return top;
+  if (!heap_.empty()) ReplaceTop(last);
+}
+
+void RefinementStream::ReplaceTop(const QueueEntry& entry) {
+  const size_t size = heap_.size();
+  size_t hole = 0;
+  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+    if (child + 1 < size && PopsBefore(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!PopsBefore(heap_[child], entry)) break;
+    heap_[hole] = heap_[child];
+    hole = child;
+  }
+  heap_[hole] = entry;
 }
 
 double RefinementStream::LeafSum(const KdTree::Node& node) const {
@@ -237,27 +257,34 @@ bool RefinementStream::Step() {
     Push({pixel_bounds.upper - pixel_bounds.lower, fn.node,
           pixel_bounds.lower, pixel_bounds.upper});
   } else {
-    QueueEntry top = Pop();
+    const QueueEntry top = heap_.front();
     lb_ -= top.lower;
     ub_ -= top.upper;
     const KdTree::Node node = tree_->node(top.node);
     if (node.IsLeaf()) {
+      PopTop();
       double exact = LeafSum(node);
       points_scanned_ += node.count();
       lb_ += exact;
       ub_ += exact;
     } else {
-      for (int32_t child : {node.left, node.right}) {
+      QueueEntry children[2];
+      const int32_t child_ids[2] = {node.left, node.right};
+      for (int i = 0; i < 2; ++i) {
         BoundPair child_bounds =
-            bounds_->Evaluate(tree_->node(child).stats, q_);
+            bounds_->Evaluate(tree_->node(child_ids[i]).stats, q_);
         ++node_evals_;
         KDV_FAILPOINT_CORRUPT("refine.step", child_bounds.lower,
                               child_bounds.upper);
         lb_ += child_bounds.lower;
         ub_ += child_bounds.upper;
-        Push({child_bounds.upper - child_bounds.lower, child,
-              child_bounds.lower, child_bounds.upper});
+        children[i] = {child_bounds.upper - child_bounds.lower, child_ids[i],
+                       child_bounds.lower, child_bounds.upper};
       }
+      // The expanded node's slot takes one child (a single sift-down); the
+      // other is pushed.
+      ReplaceTop(children[0]);
+      Push(children[1]);
     }
   }
 

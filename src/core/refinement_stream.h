@@ -103,14 +103,20 @@ class RefinementStream {
     double lower = 0.0;
     double upper = 0.0;
   };
-  struct GapLess {
-    bool operator()(const QueueEntry& a, const QueueEntry& b) const {
-      return a.gap < b.gap;
-    }
-  };
+  // The heap's strict order: larger gap first, then smaller node id. A node
+  // is in the heap at most once, so no two entries are equivalent and the
+  // pop sequence (hence every output bit) is fixed by the entries alone,
+  // whatever the heap layout.
+  static bool PopsBefore(const QueueEntry& a, const QueueEntry& b) {
+    return a.gap > b.gap || (a.gap == b.gap && a.node < b.node);
+  }
 
   void Push(const QueueEntry& entry);
-  QueueEntry Pop();
+  // Removes the top entry.
+  void PopTop();
+  // Overwrites the top entry with `entry` and restores the heap: one
+  // sift-down in place of a pop and a push.
+  void ReplaceTop(const QueueEntry& entry);
   // Charges any heap-capacity growth since the last sync to the global
   // memory budget. Capacity never shrinks while the stream lives, so the
   // delta is one-directional until the destructor releases it all.
@@ -128,9 +134,8 @@ class RefinementStream {
   const NodeBounds* bounds_;
   Point q_;
 
-  // Max-heap over gap (std::push_heap/pop_heap — the same ordering a
-  // std::priority_queue would maintain, but clearable without freeing its
-  // buffer).
+  // Binary heap in PopsBefore order (heap_.front() pops first); a plain
+  // vector so Reset can clear it without freeing its buffer.
   std::vector<QueueEntry> heap_;
   // Lazily injected tile frontier (seeded resets only). The nodes are
   // consumed front-to-back (descending region gap); every node already

@@ -216,7 +216,7 @@ class RenderService {
     // pool (no submit cycle), and an exhausted helper pool merely sheds
     // tiles back onto the request worker.
     int intra_frame_threads = 1;
-    int tile_rows = 16;  // rows per tile work item (see viz/parallel_render.h)
+    int tile_rows = 16;  // chunk edge in pixels (see RenderOptions::tile_rows)
     // Shared-traversal tile refinement for the parallel certified path (see
     // viz/parallel_render.h). Each epoch's renderer keeps its own frontier
     // cache, keyed by the epoch id, so progressive passes and repeated

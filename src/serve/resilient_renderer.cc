@@ -226,7 +226,7 @@ RenderOutcome ResilientRenderer::Render(
   // total budget is still honored). Taken when there is genuine fan-out
   // (a pool and >1 threads) OR when tile-shared refinement is on — the
   // shared region pass is a work reduction, not a parallelism play, so it
-  // pays at one thread too (the renderer runs bands inline on a null pool).
+  // pays at one thread too (the renderer runs chunks inline on a null pool).
   // Skipped under a progressive brownout cap: the attempt exists to win a
   // certificate this render may not claim, and skipping it keeps the shared
   // tile pool free for full-tier requests.

@@ -1,35 +1,42 @@
 // Whole-frame KDV rendering: the one pixel loop over a grid, serial or
 // data-parallel.
 //
-// The pixel grid is split into horizontal bands of `tile_rows` rows; workers
-// claim bands off a shared atomic counter and evaluate their pixels with a
-// per-worker reusable RefinementStream (zero allocations after warm-up).
-// The caller thread always participates in tile processing, so a frame makes
-// progress even when the helper pool is saturated or absent — and a frame
-// rendered through an exhausted pool degrades to caller-only rendering
-// rather than failing.
+// The pixel grid is cut into square chunks of `tile_rows` x `tile_rows`
+// pixels (clipped at the frame edge). A worker claims the next chunk off an
+// atomic counter, runs (or loads from the frontier cache) the chunk's
+// region pass in tile-shared mode, publishes the chunk, and then takes its
+// rows one at a time off a per-chunk atomic counter. A worker that finds no
+// chunk left to claim takes rows of chunks other workers have published, so
+// nobody waits on another worker's region pass while other work is left and
+// a frame's tail is one chunk row. Per-pixel mode and EXACT run the same
+// loop with no region pass. Every worker reuses one RefinementStream for
+// all its pixels (zero allocations after warm-up). The caller thread always
+// participates, so a frame makes progress even when the helper pool is
+// saturated or absent — and a frame rendered through an exhausted pool
+// degrades to caller-only rendering rather than failing.
 //
 // Determinism: pixels are independent queries and every worker runs the
 // same per-pixel evaluation (KdeEvaluator::EvaluateEps / EvaluateTau /
 // EvaluateExact at grid.PixelCenter), so a completed frame is bit-identical
-// for any thread count and tile size. Tile stats are merged in tile-index
-// order, so the aggregate BatchStats counters are deterministic too (seconds
-// excepted).
+// for any thread count and tile size. Each worker sums its work counters
+// and merges them once; the counters are integer sums, so the aggregate
+// BatchStats counters are deterministic too (seconds excepted).
 //
 // Tile-shared mode (RenderOptions::tile_shared) amortizes the tree traversal
-// across the pixels of each tile chunk with one region-bound pass
+// across the pixels of each chunk with one region-bound pass
 // (core/tile_refiner.h) and seeds every pixel's stream from the shared
-// frontier. Frames remain deterministic for any thread count (the chunk pass
-// and the seeded per-pixel refinement are both deterministic, and a cached
-// frontier is bitwise the one a rebuild would produce) but are not bitwise
-// equal to the per-pixel path: whole chunks may be answered from region
-// bounds alone. The εKDV/τKDV certificates hold exactly either way.
+// frontier. Frames remain deterministic for any thread count (each chunk's
+// pass runs once, and both it and the seeded per-pixel refinement are
+// deterministic; a cached frontier is bitwise the one a rebuild would
+// produce) but are not bitwise equal to the per-pixel path: whole chunks may
+// be answered from region bounds alone. The εKDV/τKDV certificates hold
+// exactly either way.
 //
 // Contracts:
 //   * QueryControl is polled before every pixel and at iteration granularity
 //     inside each refining evaluation; on a stop the partial frame comes
 //     back with completed=false and the deadline_expired/cancelled flags
-//     set. Tiles not yet claimed are abandoned.
+//     set. Work not yet claimed is abandoned.
 //   * The per-query failpoint sites ("runner.eps" / "runner.tau" /
 //     "runner.exact") fire before every pixel (and every tile-shared chunk);
 //     the whole-frame entry site ("viz.render") fires once per frame.
@@ -53,18 +60,17 @@ struct RenderOptions {
   // hardware_concurrency; 1 renders serially in the caller. Values above 1
   // only take effect when an Executor is supplied.
   int num_threads = 1;
-  // Grid rows per work item. Small tiles balance load (refinement cost
-  // varies wildly across a frame: pixels near dense clusters converge fast,
-  // sparse regions refine deep); large tiles amortize claim overhead.
-  // Clamped to [1, grid height].
+  // Chunk edge in pixels: the frame is cut into tile_rows x tile_rows
+  // chunks (clamped to [1, grid height] rows and [1, grid width] columns),
+  // each claimed by one worker, whose rows any worker may then take. In
+  // tile-shared mode it is also the region of one region-bound pass: larger
+  // chunks share more traversal per pass but bound it more loosely.
   int tile_rows = 16;
 
-  // Shared-traversal tile refinement (core/tile_refiner.h): each row band is
-  // split into ~square column chunks, one region-bound pass runs per chunk,
-  // and pixels are seeded from the resulting frontier (or whole chunks are
-  // answered from the region bounds alone). Chunks are tile_rows columns
-  // wide: square-ish chunks, since full-width row bands make poor query
-  // regions. Off keeps frames bit-identical to per-pixel evaluation; on
+  // Shared-traversal tile refinement (core/tile_refiner.h): one
+  // region-bound pass runs per chunk, and its pixels are seeded from the
+  // resulting frontier (or whole chunks are answered from the region bounds
+  // alone). Off keeps frames bit-identical to per-pixel evaluation; on
   // preserves the εKDV/τKDV certificates but may produce (certified)
   // different pixel values. Ignored for the EXACT method and for non-2-d
   // indexes.

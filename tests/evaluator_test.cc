@@ -1,13 +1,18 @@
 // End-to-end guarantees of the refinement engine: εKDV relative-error
 // guarantee, τKDV classification correctness, and the Fig-18 trace
 // machinery, for every method × kernel combination.
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <queue>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bounds/node_bounds.h"
 #include "core/evaluator.h"
+#include "core/leaf_kernel.h"
 #include "data/datasets.h"
 #include "index/kdtree.h"
 #include "index/node_stats.h"
@@ -268,6 +273,152 @@ TEST(EvaluatorTest, FarQueryWithFiniteSupportTerminatesImmediately) {
   EXPECT_EQ(r.iterations, 0u);
   EXPECT_DOUBLE_EQ(r.estimate, 0.0);
   EXPECT_TRUE(r.converged);
+}
+
+// ---------------------------------------------------------------------------
+// Heap order under exact ties
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+// The §3.2 best-first loop over std::priority_queue, in the order the
+// refinement stream promises: larger gap first, then smaller node id. It
+// keeps the stream's running totals and monotone envelope step for step.
+class ReferenceRefinement {
+ public:
+  ReferenceRefinement(const KdTree& tree, const KernelParams& params,
+                      const NodeBounds& bounds, const Point& q)
+      : tree_(tree), params_(params), bounds_(bounds), q_(q) {
+    const BoundPair root = bounds_.Evaluate(tree_.node(tree_.root()).stats, q_);
+    lb_ = best_lb_ = root.lower;
+    ub_ = best_ub_ = root.upper;
+    heap_.push({root.upper - root.lower, tree_.root(), root.lower,
+                root.upper});
+  }
+
+  bool Step() {
+    if (heap_.empty()) return false;
+    ++iterations_;
+    const Entry top = heap_.top();
+    heap_.pop();
+    if (!heap_.empty() && heap_.top().gap == top.gap) ++tied_pops_;
+    lb_ -= top.lower;
+    ub_ -= top.upper;
+    const KdTree::Node node = tree_.node(top.node);
+    if (node.IsLeaf()) {
+      const double exact = LeafSum(tree_, params_, node.begin, node.end, q_);
+      lb_ += exact;
+      ub_ += exact;
+    } else {
+      for (int32_t child : {node.left, node.right}) {
+        const BoundPair b = bounds_.Evaluate(tree_.node(child).stats, q_);
+        lb_ += b.lower;
+        ub_ += b.upper;
+        heap_.push({b.upper - b.lower, child, b.lower, b.upper});
+      }
+    }
+    if (heap_.empty()) {
+      best_lb_ = lb_;
+      best_ub_ = ub_;
+    } else {
+      best_lb_ = std::max(best_lb_, lb_);
+      best_ub_ = std::min(best_ub_, ub_);
+    }
+    if (best_ub_ < best_lb_) best_ub_ = best_lb_;
+    return true;
+  }
+
+  double lower() const { return best_lb_; }
+  double upper() const { return best_ub_; }
+  uint64_t iterations() const { return iterations_; }
+  // Pops whose gap equalled the next entry's: the order decided by node id.
+  uint64_t tied_pops() const { return tied_pops_; }
+
+ private:
+  struct Entry {
+    double gap;
+    int32_t node;
+    double lower;
+    double upper;
+  };
+  // std::priority_queue pops its greatest element: "a < b" means b pops
+  // first.
+  struct PopsLater {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.gap < b.gap || (a.gap == b.gap && a.node > b.node);
+    }
+  };
+
+  const KdTree& tree_;
+  const KernelParams& params_;
+  const NodeBounds& bounds_;
+  Point q_;
+  std::priority_queue<Entry, std::vector<Entry>, PopsLater> heap_;
+  double lb_ = 0.0, ub_ = 0.0, best_lb_ = 0.0, best_ub_ = 0.0;
+  uint64_t iterations_ = 0;
+  uint64_t tied_pops_ = 0;
+};
+
+// Duplicates-heavy data: 64 distinct points, each repeated 16 times, under
+// 4-point leaves. Median splits keep a point's copies together, so every
+// node of 16 copies has two children of 8 identical points, and each of
+// those two leaves of 4: siblings whose statistics, bounds and gaps tie
+// exactly. The stream must pop them in the promised order, reproducing the
+// reference loop bitwise.
+TEST(EvaluatorTest, HeapOrderUnderTiesMatchesPriorityQueueReference) {
+  PointSet distinct = TestDataset(64, 31);
+  PointSet data;
+  for (const Point& p : distinct) {
+    for (int copy = 0; copy < 16; ++copy) data.push_back(p);
+  }
+  uint64_t tied_pops = 0;
+  for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular}) {
+    KernelParams params = MakeScottParams(kernel, data);
+    KdTree tree(data, {/*leaf_size=*/4});
+    auto bounds = MakeNodeBounds(Method::kQuad, params);
+    KdeEvaluator evaluator(&tree, params, bounds.get());
+
+    PointSet queries = TestQueries(4, 32);
+    queries.push_back(distinct[0]);
+    queries.push_back(distinct[17]);
+    for (const Point& q : queries) {
+      const double eps = 1e-3;
+      std::vector<BoundStep> trace;
+      evaluator.EvaluateEpsTraced(q, eps, &trace);
+      ReferenceRefinement ref(tree, params, *bounds, q);
+      std::vector<BoundStep> want = {{0, ref.lower(), ref.upper()}};
+      while (ref.upper() > (1.0 + eps) * ref.lower() && ref.Step()) {
+        want.push_back({ref.iterations(), ref.lower(), ref.upper()});
+      }
+      tied_pops += ref.tied_pops();
+      ASSERT_EQ(trace.size(), want.size()) << KernelTypeName(kernel);
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(trace[i].iteration, want[i].iteration);
+        ASSERT_EQ(Bits(trace[i].lower), Bits(want[i].lower)) << "step " << i;
+        ASSERT_EQ(Bits(trace[i].upper), Bits(want[i].upper)) << "step " << i;
+      }
+
+      // τ at the exact density makes the classification refine to the end.
+      const double exact = evaluator.EvaluateExact(q);
+      for (double tau : {0.5 * exact, exact, 2.0 * exact}) {
+        const TauResult got = evaluator.EvaluateTau(q, tau);
+        ReferenceRefinement tref(tree, params, *bounds, q);
+        while (tref.lower() < tau && tref.upper() > tau && tref.Step()) {
+        }
+        tied_pops += tref.tied_pops();
+        EXPECT_EQ(got.above_threshold, tref.lower() >= tau);
+        EXPECT_EQ(Bits(got.lower), Bits(tref.lower()));
+        EXPECT_EQ(Bits(got.upper), Bits(tref.upper()));
+        EXPECT_EQ(got.iterations, tref.iterations());
+      }
+    }
+  }
+  // The data must actually have exercised the tie-break.
+  EXPECT_GT(tied_pops, 0u);
 }
 
 }  // namespace

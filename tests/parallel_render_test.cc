@@ -14,6 +14,7 @@
 // suite in via `ctest -L concurrency`.
 #include "viz/parallel_render.h"
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -208,7 +209,8 @@ TEST_P(ParallelEquivalenceTest, EpsFrameBitIdenticalToOracle) {
 
   EXPECT_TRUE(FramesBitIdentical(oracle.values, parallel.values));
   EXPECT_TRUE(stats.completed);
-  // Per-tile accounting merged in tile order must equal the oracle counters.
+  // Per-worker accounting, merged in any order, must equal the oracle
+  // counters.
   ExpectSameWork(oracle_stats, stats);
 }
 
@@ -311,6 +313,8 @@ TEST(ParallelRenderTest, SaturatedPoolDegradesToCallerOnly) {
 // Cancellation / deadline mid-frame
 // ---------------------------------------------------------------------------
 
+// Per-pixel and tile-shared frames alike: in the latter the stop is seen
+// before the first region pass.
 TEST(ParallelRenderTest, CancelledFrameIsMarkedIncomplete) {
   auto bench = MakeBench();
   KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
@@ -322,20 +326,26 @@ TEST(ParallelRenderTest, CancelledFrameIsMarkedIncomplete) {
   control.cancel = &cancel;
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
-  RenderOptions options;
-  options.num_threads = 4;
-  options.tile_rows = 4;
-  BatchStats stats;
-  DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, 0.05, options,
-                                              &pool, control, &stats);
+  for (bool tile_shared : {false, true}) {
+    RenderOptions options;
+    options.num_threads = 4;
+    options.tile_rows = 4;
+    options.tile_shared = tile_shared;
+    BatchStats stats;
+    DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, 0.05,
+                                                options, &pool, control,
+                                                &stats);
 
-  EXPECT_FALSE(stats.completed);
-  EXPECT_TRUE(stats.cancelled);
-  EXPECT_FALSE(stats.deadline_expired);
-  EXPECT_EQ(stats.queries, 0u);
-  // The partial frame is still well-formed: right size, only finite pixels.
-  ASSERT_EQ(frame.values.size(), grid.num_pixels());
-  for (double v : frame.values) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_FALSE(stats.completed) << tile_shared;
+    EXPECT_TRUE(stats.cancelled) << tile_shared;
+    EXPECT_FALSE(stats.deadline_expired) << tile_shared;
+    EXPECT_EQ(stats.queries, 0u) << tile_shared;
+    EXPECT_EQ(stats.tile_nodes_visited, 0u) << tile_shared;
+    // The partial frame is still well-formed: right size, only finite
+    // pixels.
+    ASSERT_EQ(frame.values.size(), grid.num_pixels());
+    for (double v : frame.values) EXPECT_TRUE(std::isfinite(v));
+  }
 }
 
 TEST(ParallelRenderTest, DeadlineMidFrameIsMarkedExpired) {
@@ -350,17 +360,54 @@ TEST(ParallelRenderTest, DeadlineMidFrameIsMarkedExpired) {
   control.deadline = &deadline;
 
   ThreadPool pool({/*num_threads=*/4, /*max_queue=*/64});
-  RenderOptions options;
-  options.num_threads = 4;
-  options.tile_rows = 4;
-  BatchStats stats;
-  DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, 0.05, options,
-                                              &pool, control, &stats);
+  for (bool tile_shared : {false, true}) {
+    RenderOptions options;
+    options.num_threads = 4;
+    options.tile_rows = 4;
+    options.tile_shared = tile_shared;
+    BatchStats stats;
+    DensityFrame frame = RenderEpsFrameParallel(evaluator, grid, 0.05,
+                                                options, &pool, control,
+                                                &stats);
 
-  EXPECT_FALSE(stats.completed);
-  EXPECT_TRUE(stats.deadline_expired);
-  ASSERT_EQ(frame.values.size(), grid.num_pixels());
-  for (double v : frame.values) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_FALSE(stats.completed) << tile_shared;
+    EXPECT_TRUE(stats.deadline_expired) << tile_shared;
+    ASSERT_EQ(frame.values.size(), grid.num_pixels());
+    for (double v : frame.values) EXPECT_TRUE(std::isfinite(v));
+  }
+}
+
+// A helper the pool only starts after the frame returned must claim
+// nothing and touch nothing of the frame: here the evaluator, index, grid
+// and frame are all destroyed before it runs (ASan flags any access).
+TEST(ParallelRenderTest, HelperStartingAfterFrameClaimsNothing) {
+  ThreadPool pool({/*num_threads=*/1, /*max_queue=*/4});
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(pool.TrySubmit([&release] {
+                    while (!release.load()) std::this_thread::yield();
+                  })
+                  .ok());
+  while (pool.queue_depth() > 0) {
+    std::this_thread::yield();  // wait for the worker to pick up the parker
+  }
+  {
+    auto bench = MakeBench();
+    KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+    PixelGrid grid(16, 8, bench->data_bounds());
+    RenderOptions options;
+    options.num_threads = 2;
+    options.tile_shared = true;
+    BatchStats stats;
+    DensityFrame frame = RenderEpsFrameParallel(
+        evaluator, grid, 0.05, options, &pool, QueryControl(), &stats);
+    EXPECT_TRUE(stats.completed);
+    EXPECT_EQ(stats.queries, grid.num_pixels());
+    EXPECT_EQ(pool.queue_depth(), 1u);  // the helper is still waiting
+  }
+  const uint64_t executed = pool.tasks_executed();
+  release.store(true);
+  pool.Stop();  // runs the queued helper
+  EXPECT_EQ(pool.tasks_executed(), executed + 2);
 }
 
 // Cancellation racing a running frame: either the frame completed before the
@@ -528,6 +575,122 @@ TEST(TileSharedTest, FrontierCacheHitReproducesFrameBitwise) {
   EXPECT_EQ(swap_stats.frontier_cache_hits, 0u);
   EXPECT_GT(swap_stats.tile_nodes_visited, 0u);
   EXPECT_TRUE(FramesBitIdentical(cold.values, swapped.values));
+}
+
+// Every integer work counter of a frame.
+void ExpectSameCounters(const BatchStats& want, const BatchStats& got,
+                        const std::string& where) {
+  EXPECT_EQ(got.queries, want.queries) << where;
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.points_scanned, want.points_scanned) << where;
+  EXPECT_EQ(got.nodes_visited, want.nodes_visited) << where;
+  EXPECT_EQ(got.numeric_faults, want.numeric_faults) << where;
+  EXPECT_EQ(got.tile_nodes_visited, want.tile_nodes_visited) << where;
+  EXPECT_EQ(got.tile_accepted, want.tile_accepted) << where;
+  EXPECT_EQ(got.tile_pruned, want.tile_pruned) << where;
+  EXPECT_EQ(got.tiles_decided, want.tiles_decided) << where;
+  EXPECT_EQ(got.pixels_decided, want.pixels_decided) << where;
+  EXPECT_EQ(got.frontier_cache_hits, want.frontier_cache_hits) << where;
+}
+
+// One tile-shared frame: εKDV (ε = 0.05) or τKDV (τ = 0.3, the mask
+// widened to doubles), with its stats.
+struct SharedFrame {
+  std::vector<double> values;
+  BatchStats stats;
+};
+
+SharedFrame RenderSharedFrame(const KdeEvaluator& evaluator,
+                              const PixelGrid& grid, bool eps_mode,
+                              const RenderOptions& options, Executor* pool) {
+  SharedFrame out;
+  if (eps_mode) {
+    out.values = RenderEpsFrameParallel(evaluator, grid, 0.05, options, pool,
+                                        QueryControl(), &out.stats)
+                     .values;
+  } else {
+    const BinaryFrame mask = RenderTauFrameParallel(
+        evaluator, grid, 0.3, options, pool, QueryControl(), &out.stats);
+    out.values.assign(mask.values.begin(), mask.values.end());
+  }
+  return out;
+}
+
+// Tile-shared frames do not depend on the thread count: however chunks and
+// their rows are handed out, each chunk's region pass runs once and every
+// pixel's seeded refinement is the same. Pixels must equal the one-thread
+// frame bitwise and every work counter must match, with the frontier cache
+// cold (region passes run) and warm (frontiers loaded).
+TEST(TileSharedTest, FramesInvariantToThreadCount) {
+  ThreadPool pool({/*num_threads=*/7, /*max_queue=*/64});
+  for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular}) {
+    auto bench = MakeBench(kernel);
+    KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+    PixelGrid grid(40, 30, bench->data_bounds());
+    for (bool eps_mode : {true, false}) {
+      for (int tile_rows : {16, 5, 1}) {
+        SharedFrame want[2];  // one thread; [0] cold, [1] warm
+        for (int threads : {1, 2, 3, 8}) {
+          FrontierCache cache;
+          RenderOptions options;
+          options.num_threads = threads;
+          options.tile_rows = tile_rows;
+          options.tile_shared = true;
+          options.frontier_cache = &cache;
+          for (int warm = 0; warm < 2; ++warm) {
+            const std::string where =
+                std::string(KernelTypeName(kernel)) +
+                (eps_mode ? " eps" : " tau") + " rows" +
+                std::to_string(tile_rows) + " t" + std::to_string(threads) +
+                (warm ? " warm" : " cold");
+            SharedFrame got =
+                RenderSharedFrame(evaluator, grid, eps_mode, options, &pool);
+            ASSERT_TRUE(got.stats.completed) << where;
+            EXPECT_EQ(got.stats.frontier_cache_hits,
+                      static_cast<uint64_t>(warm))
+                << where;
+            if (threads == 1) {
+              want[warm] = std::move(got);
+              continue;
+            }
+            EXPECT_TRUE(FramesBitIdentical(want[warm].values, got.values))
+                << where;
+            ExpectSameCounters(want[warm].stats, got.stats, where);
+          }
+        }
+        EXPECT_GT(want[0].stats.tile_nodes_visited, 0u);
+        EXPECT_TRUE(FramesBitIdentical(want[0].values, want[1].values));
+      }
+    }
+  }
+}
+
+// A frame of one chunk: one worker owns it and runs its region pass; the
+// other three can only take its rows once the owner has published it. The
+// pass must run exactly once, and the frame must match the one-thread
+// frame bitwise.
+TEST(TileSharedTest, OneChunkFrameRowsAreShared) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  PixelGrid grid(16, 16, bench->data_bounds());
+  ThreadPool pool({/*num_threads=*/3, /*max_queue=*/16});
+  for (bool eps_mode : {true, false}) {
+    RenderOptions options;
+    options.tile_shared = true;
+    const SharedFrame want =
+        RenderSharedFrame(evaluator, grid, eps_mode, options, nullptr);
+    ASSERT_GT(want.stats.tile_nodes_visited, 0u);
+    ASSERT_EQ(want.stats.tiles_decided, 0u);  // the rows carry real work
+    options.num_threads = 4;
+    const SharedFrame got =
+        RenderSharedFrame(evaluator, grid, eps_mode, options, &pool);
+    const std::string where = eps_mode ? "eps" : "tau";
+    ASSERT_TRUE(got.stats.completed) << where;
+    EXPECT_TRUE(FramesBitIdentical(want.values, got.values)) << where;
+    EXPECT_EQ(got.stats.tile_nodes_visited, want.stats.tile_nodes_visited)
+        << where;
+    ExpectSameCounters(want.stats, got.stats, where);
+  }
 }
 
 // ---------------------------------------------------------------------------

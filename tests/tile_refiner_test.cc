@@ -142,8 +142,12 @@ TEST(TileRefinerTest, FrontierEnvelopeHoldsForSampledQueries) {
             ASSERT_LE(std::abs(tf.decided_value - exact),
                       eps * exact + slack);
           } else {
-            if (exact > tau + slack) ASSERT_TRUE(tf.decided_above);
-            if (exact < tau - slack) ASSERT_FALSE(tf.decided_above);
+            if (exact > tau + slack) {
+              ASSERT_TRUE(tf.decided_above);
+            }
+            if (exact < tau - slack) {
+              ASSERT_FALSE(tf.decided_above);
+            }
           }
           continue;
         }
@@ -204,8 +208,12 @@ TEST(TileRefinerTest, SeededEvaluationMeetsCertificates) {
       if (tau_tf.valid && !tau_tf.decided) {
         TauResult r =
             evaluator.EvaluateTauSeeded(q, tau, tau_tf, control, &scratch);
-        if (exact > tau + slack) EXPECT_TRUE(r.above_threshold);
-        if (exact < tau - slack) EXPECT_FALSE(r.above_threshold);
+        if (exact > tau + slack) {
+          EXPECT_TRUE(r.above_threshold);
+        }
+        if (exact < tau - slack) {
+          EXPECT_FALSE(r.above_threshold);
+        }
       }
     }
   }
@@ -227,7 +235,9 @@ TEST(TileRefinerTest, RespectsVisitBudget) {
     TileFrontier tf = refiner.BuildEps(rect, 0.05);
     EXPECT_LE(tf.nodes_visited, 64u + 2u);  // one expansion may overshoot
     EXPECT_LE(tf.nodes.size(), 16u + 2u);
-    if (tf.valid && !tf.decided) EXPECT_FALSE(tf.nodes.empty());
+    if (tf.valid && !tf.decided) {
+      EXPECT_FALSE(tf.nodes.empty());
+    }
   }
 }
 

@@ -80,14 +80,17 @@ int Usage() {
       "  render:       --eps E [--budget-ms MS --on-deadline degrade|fail]\n"
       "                (degrade: ship best-effort frame, exit 0; fail: exit\n"
       "                3 when the budget expires before certification)\n"
-      "                [--threads N (0 = hardware concurrency) --tile-rows R\n"
+      "                [--threads N (0 = hardware concurrency)\n"
+      "                 --tile-rows R (chunk edge: threads claim R x R pixel\n"
+      "                 chunks, then share their rows; default 16)\n"
       "                 --tile-shared on|off (amortize tree traversal across\n"
       "                 tile pixels; off is bit-identical to per-pixel)\n"
       "                 --json (machine-readable stats incl. pruning\n"
       "                 counters and the active SIMD level; KDV_SIMD=\n"
       "                 scalar|sse2|avx2 pins the leaf-kernel dispatch)]\n"
       "  hotspot:      --tau T | --tau-sigma K (tau = mu + K*sigma)\n"
-      "                [--threads N --tile-rows R --tile-shared on|off]\n"
+      "                [--threads N --tile-rows R (chunk edge)\n"
+      "                 --tile-shared on|off]\n"
       "  progressive:  --eps E --budget SECONDS\n"
       "  classify:     --in FILE.csv --label-col I (x,y + integer labels)\n"
       "  regress:      --in FILE.csv --target-col I (x,y + target >= 0)\n"
@@ -95,7 +98,7 @@ int Usage() {
       "                --budget-ms MS\n"
       "                [--clients C (default 4x threads) --queue Q\n"
       "                 --frame-threads N (intra-frame tile workers)\n"
-      "                 --tile-rows R --tile-shared on|off\n"
+      "                 --tile-rows R (chunk edge) --tile-shared on|off\n"
       "                 --eps E --on-deadline degrade|fail\n"
       "                 --failpoints \"site=action;...\" --json\n"
       "                 --swap-after N (hot-swap the evaluator after N\n"
