@@ -4,7 +4,7 @@
 //   (b) kd-tree leaf size;
 //   (c) the trivial-bound safety clamp;
 //   (d) τKDV granularity: per-pixel refinement vs tile-shared chunks that
-//       QUAD region bounds decide wholesale.
+//       QUAD region bounds decide wholesale or by quadrant.
 // Reported as εKDV (τKDV for (d)) frame time on the home analogue,
 // ε = 0.01.
 #include <cstdio>
@@ -103,6 +103,8 @@ int main() {
   }
 
   // (d) τKDV granularity: per-pixel vs tile-shared (chunk-level) decisions.
+  // A pixel in a quadrant the region pass decides still counts as refined
+  // but takes zero steps, hence the per-pixel iteration column.
   {
     Workbench bench(PointSet(points), KernelType::kGaussian);
     PixelGrid grid = kdv_bench::MakeGrid(bench.data_bounds());
@@ -110,19 +112,23 @@ int main() {
     MeanStd density = EstimateDensityStats(quad, grid, /*stride=*/8);
 
     std::printf("\n(d) τKDV granularity (QUAD, tau=mu)\n");
-    std::printf("%-18s %10s %16s %14s\n", "mode", "time(s)",
-                "refined pixels", "tiles decided");
+    std::printf("%-18s %10s %16s %14s %10s %14s\n", "mode", "time(s)",
+                "refined pixels", "tiles decided", "iters/px",
+                "region evals");
     for (bool tile_shared : {false, true}) {
       RenderOptions options;
       options.tile_shared = tile_shared;
       BatchStats stats;
       RenderTauFrameParallel(quad, grid, density.mean, options, nullptr,
                              QueryControl(), &stats);
-      std::printf("%-18s %10.3f %16llu %14llu\n",
+      std::printf("%-18s %10.3f %16llu %14llu %10.2f %14llu\n",
                   tile_shared ? "tile-shared" : "per-pixel", stats.seconds,
                   static_cast<unsigned long long>(stats.queries -
                                                   stats.pixels_decided),
-                  static_cast<unsigned long long>(stats.tiles_decided));
+                  static_cast<unsigned long long>(stats.tiles_decided),
+                  static_cast<double>(stats.iterations) /
+                      static_cast<double>(stats.queries),
+                  static_cast<unsigned long long>(stats.tile_nodes_visited));
     }
   }
 

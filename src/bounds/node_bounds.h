@@ -24,6 +24,17 @@ struct BoundPair {
   double upper = 0.0;
 };
 
+// A certified interval is acceptable when both ends are finite and any
+// inversion is attributable to floating-point drift (which the refinement
+// envelope clamps away). Larger inversions mean the bound math is broken for
+// this query and must not be trusted. The one test the evaluator, the
+// refinement stream and the tile refiner all apply.
+inline bool IntervalAcceptable(double lower, double upper) {
+  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
+  const double drift = 1e-9 * (1.0 + std::abs(lower));
+  return upper >= lower - drift;
+}
+
 // The profile-argument interval [x_min, x_max] induced by a node's MBR: x
 // evaluated at the minimum / maximum distance between q and the MBR.
 struct XInterval {

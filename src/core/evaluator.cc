@@ -12,13 +12,6 @@ namespace kdv {
 
 namespace {
 
-// Mirrors the stream-internal acceptance test: finite ends, inversion within
-// floating-point drift.
-bool IntervalAcceptable(double lower, double upper) {
-  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
-  return upper >= lower - 1e-9 * (1.0 + std::abs(lower));
-}
-
 // Cooperative stop polling, amortized over check_interval iterations.
 class StopPoller {
  public:

@@ -12,20 +12,6 @@
 
 namespace kdv {
 
-namespace {
-
-// A certified interval is acceptable when both ends are finite and any
-// inversion is attributable to floating-point drift (which the envelope
-// clamp absorbs). Larger inversions mean the bound math is broken for this
-// query and must not be trusted.
-bool IntervalAcceptable(double lower, double upper) {
-  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
-  const double drift = 1e-9 * (1.0 + std::abs(lower));
-  return upper >= lower - drift;
-}
-
-}  // namespace
-
 RefinementStream::RefinementStream(const KdTree* tree,
                                    const KernelParams& params,
                                    const NodeBounds* bounds)
@@ -144,6 +130,9 @@ void RefinementStream::Reset(const Point& q) {
 void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
   KDV_CHECK(bounds_ != nullptr);
   KDV_CHECK(frontier.valid);
+  // A τ tile with quadrants seeds each pixel from the quadrant holding it.
+  const TileFrontier& seed = frontier.SeedFor(q);
+  KDV_CHECK(seed.valid);
   q_ = q;
   heap_.clear();
   poisoned_ = false;
@@ -157,11 +146,11 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
   // bound evaluations and ZERO heap traffic. Frontier nodes enter the heap
   // lazily (see Step()): only the nodes whose region slack actually blocks
   // termination ever cost an Evaluate or a heap insert.
-  seed_nodes_ = frontier.nodes.data();
-  seed_count_ = frontier.nodes.size();
+  seed_nodes_ = seed.nodes.data();
+  seed_count_ = seed.nodes.size();
   seed_next_ = 0;
-  lb_ = frontier.base_lower + frontier.frontier_lower;
-  ub_ = frontier.base_upper + frontier.frontier_upper;
+  lb_ = seed.base_lower + seed.frontier_lower;
+  ub_ = seed.base_upper + seed.frontier_upper;
   if (!IntervalAcceptable(lb_, ub_)) {
     SetUniversalEnvelope();
     poisoned_ = true;

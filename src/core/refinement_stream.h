@@ -64,10 +64,12 @@ class RefinementStream {
   // plus the precomputed sum of the region intervals, and frontier nodes
   // are injected into the heap lazily (descending region gap) as their
   // slack comes to block termination. The shared part of the traversal
-  // (everything the tile pass accepted or pruned) is never re-derived. The
-  // frontier must be valid, built for a tile containing q, and must outlive
-  // the stream's use of it (until the next Reset); requires
-  // bounds != nullptr.
+  // (everything the tile pass accepted or pruned) is never re-derived. A
+  // frontier with quadrants (τKDV) seeds from the quadrant containing q
+  // (TileFrontier::SeedFor); a decided quadrant's totals already settle τ,
+  // so its pixels finish with zero steps. The frontier must be valid, built
+  // for a tile containing q, and must outlive the stream's use of it (until
+  // the next Reset); requires bounds != nullptr.
   void Reset(const Point& q, const TileFrontier& frontier);
 
   // Performs one refinement step (pop the loosest node, replace it by its

@@ -22,11 +22,27 @@
 // subtrees covering exactly the points not accounted for by the baseline. A
 // frontier with valid == false must be ignored (the pixel falls back to
 // root-seeded refinement).
+//
+// Quadrants (τKDV only). An undecided τ tile may also carry four quadrant
+// frontiers: the tile's rect cut at its midpoints (cut[0], cut[1]), each
+// quadrant holding the same contract over its own sub-rect, with the tile
+// frontier's nodes re-bounded there (tile_refiner.h). This is sound because
+// a region interval valid over the tile is valid over any sub-rect, so the
+// inherited baseline holds in every quadrant. Quadrant i covers x on side
+// (i & 1) of cut[0] and y on side (i >> 1) of cut[1]; the quadrant rects
+// share the cut lines, so whichever side an on-line pixel center is sent to
+// contains it. A dimension with zero extent is not cut (its cut is +inf and
+// the side-1 slots stay empty and invalid — SeedFor never selects them). A
+// quadrant whose totals settle τ is `decided`; its pixels still seed from it
+// and stop with zero refinement steps.
 #ifndef QUADKDV_CORE_TILE_FRONTIER_H_
 #define QUADKDV_CORE_TILE_FRONTIER_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
+
+#include "geom/point.h"
 
 namespace kdv {
 
@@ -70,9 +86,24 @@ struct TileFrontier {
   bool valid = false;
 
   // Region-pass work accounting (merged into BatchStats by the renderer).
+  // nodes_visited includes the quadrant passes; accepted and pruned count
+  // the tile-wide decisions of the tile pass only.
   uint64_t nodes_visited = 0;  // region bound evaluations
   uint64_t accepted = 0;       // nodes folded into the baseline
   uint64_t pruned = 0;         // nodes with zero tile-wide contribution
+
+  // τKDV quadrant frontiers (see above): empty, or four slots indexed by
+  // side. Quadrants carry no work counters and no quadrants of their own.
+  std::vector<TileFrontier> quadrants;
+  double cut[2] = {std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::infinity()};
+
+  // The frontier that seeds the stream of pixel q (a point of this tile):
+  // its quadrant's when the tile has quadrants, else this one.
+  const TileFrontier& SeedFor(const Point& q) const {
+    if (quadrants.empty()) return *this;
+    return quadrants[(q[0] > cut[0] ? 1 : 0) + (q[1] > cut[1] ? 2 : 0)];
+  }
 };
 
 }  // namespace kdv

@@ -1,7 +1,8 @@
 #include "core/tile_refiner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -37,13 +38,6 @@ void RecordTilePass(const TileFrontier& out, double seconds) {
   o.pass_seconds->Record(seconds);
 }
 
-// Same acceptance test as the refinement stream: finite ends, inversion
-// within floating-point drift.
-bool IntervalAcceptable(double lower, double upper) {
-  if (!std::isfinite(lower) || !std::isfinite(upper)) return false;
-  return upper >= lower - 1e-9 * (1.0 + std::abs(lower));
-}
-
 struct RegionEntry {
   double gap = 0.0;
   int32_t node = -1;
@@ -65,6 +59,29 @@ struct GapThenNode {
     return a.node < b.node;
   }
 };
+
+// Descending region gap (ties: node id) — the stream's lazy-injection
+// order; see tile_frontier.h.
+void SortByRegionGap(std::vector<TileFrontier::Node>* nodes) {
+  std::sort(nodes->begin(), nodes->end(),
+            [](const TileFrontier::Node& a, const TileFrontier::Node& b) {
+              const double ga = a.upper - a.lower;
+              const double gb = b.upper - b.lower;
+              if (ga != gb) return ga > gb;
+              return a.node < b.node;
+            });
+}
+
+// The τ decision for a region whose interval [lower, upper] holds at every
+// pixel: settled once the interval lies on one side of τ. Marks `tf`
+// decided (and the side) when settled; returns whether it is.
+bool DecideTau(double lower, double upper, double tau, TileFrontier* tf) {
+  if (lower >= tau || upper <= tau) {
+    tf->decided = true;
+    tf->decided_above = lower >= tau;
+  }
+  return tf->decided;
+}
 
 }  // namespace
 
@@ -89,8 +106,93 @@ TileFrontier TileRefiner::BuildEps(const Rect& query_rect, double eps) const {
 TileFrontier TileRefiner::BuildTau(const Rect& query_rect, double tau) const {
   Timer timer;
   TileFrontier out = Build(query_rect, /*eps_mode=*/false, tau);
+  if (out.valid && !out.decided) AddQuadrants(query_rect, tau, &out);
   RecordTilePass(out, timer.ElapsedSeconds());
   return out;
+}
+
+void TileRefiner::AddQuadrants(const Rect& query_rect, double tau,
+                               TileFrontier* tile) const {
+  KDV_CHECK(query_rect.dim() == 2);  // SeedFor reads q[0] and q[1]
+  // A dimension with zero extent (a one-pixel row or column) is not cut.
+  bool split[2];
+  double cut[2];
+  for (int d = 0; d < 2; ++d) {
+    split[d] = query_rect.hi(d) > query_rect.lo(d);
+    cut[d] = split[d] ? 0.5 * (query_rect.lo(d) + query_rect.hi(d))
+                      : std::numeric_limits<double>::infinity();
+  }
+  if (!split[0] && !split[1]) return;
+
+  std::vector<TileFrontier> quadrants(4);
+  int built = 0;
+  int decided = 0;
+  int above = 0;
+  for (int i = 0; i < 4; ++i) {
+    const int side[2] = {i & 1, i >> 1};
+    if ((side[0] == 1 && !split[0]) || (side[1] == 1 && !split[1])) continue;
+    // The quadrant rects share the cut lines (see tile_frontier.h).
+    Rect rect = query_rect;
+    for (int d = 0; d < 2; ++d) {
+      if (!split[d]) continue;
+      if (side[d] == 1) {
+        rect.set_lo(d, cut[d]);
+      } else {
+        rect.set_hi(d, cut[d]);
+      }
+    }
+    if (!BoundQuadrant(*tile, rect, tau, &quadrants[i],
+                       &tile->nodes_visited)) {
+      return;  // numeric fault: the tile frontier serves every pixel
+    }
+    ++built;
+    if (quadrants[i].decided) {
+      ++decided;
+      if (quadrants[i].decided_above) ++above;
+    }
+  }
+  if (decided == built && (above == 0 || above == built)) {
+    // Every quadrant settles τ the same way: so does the tile.
+    tile->decided = true;
+    tile->decided_above = above > 0;
+    return;
+  }
+  tile->quadrants = std::move(quadrants);
+  tile->cut[0] = cut[0];
+  tile->cut[1] = cut[1];
+}
+
+bool TileRefiner::BoundQuadrant(const TileFrontier& tile, const Rect& rect,
+                                double tau, TileFrontier* quad,
+                                uint64_t* nodes_visited) const {
+  // The tile baseline holds exact (zero-gap) intervals valid over the whole
+  // tile, hence over the quadrant.
+  quad->base_lower = tile.base_lower;
+  quad->base_upper = tile.base_upper;
+  quad->nodes.reserve(tile.nodes.size());
+  for (const TileFrontier::Node& n : tile.nodes) {
+    const BoundPair b =
+        bounds_->EvaluateRegion(tree_->node(n.node).stats, rect);
+    ++*nodes_visited;
+    if (!IntervalAcceptable(b.lower, b.upper)) return false;
+    if (b.upper <= 0.0) continue;  // contributes nothing in this quadrant
+    if (b.upper - b.lower <= 0.0) {
+      // The same zero-gap acceptance as the tile pass.
+      quad->base_lower += b.lower;
+      quad->base_upper += b.upper;
+      continue;
+    }
+    quad->nodes.push_back({n.node, b.lower, b.upper});
+    quad->frontier_lower += b.lower;
+    quad->frontier_upper += b.upper;
+  }
+  const double lower = quad->base_lower + quad->frontier_lower;
+  const double upper = quad->base_upper + quad->frontier_upper;
+  if (!IntervalAcceptable(lower, upper)) return false;
+  SortByRegionGap(&quad->nodes);
+  DecideTau(lower, upper, tau, quad);
+  quad->valid = true;
+  return true;
 }
 
 TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
@@ -119,17 +221,7 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       }
       return false;
     }
-    if (total_lower >= param) {
-      out.decided = true;
-      out.decided_above = true;
-      return true;
-    }
-    if (total_upper <= param) {
-      out.decided = true;
-      out.decided_above = false;
-      return true;
-    }
-    return false;
+    return DecideTau(total_lower, total_upper, param, &out);
   };
 
   while (!heap.empty()) {
@@ -205,23 +297,17 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       out.frontier_upper += e.upper;
     }
   }
-  // Descending region gap (ties: node id) — the stream's lazy-injection
-  // order; see tile_frontier.h.
-  std::sort(out.nodes.begin(), out.nodes.end(),
-            [](const TileFrontier::Node& a, const TileFrontier::Node& b) {
-              const double ga = a.upper - a.lower;
-              const double gb = b.upper - b.lower;
-              if (ga != gb) return ga > gb;
-              return a.node < b.node;
-            });
+  SortByRegionGap(&out.nodes);
 
   if (out.nodes.empty()) {
-    // Everything was accepted: the baseline alone answers every pixel.
-    out.decided = true;
+    // Everything was accepted: the baseline alone answers every pixel. A τ
+    // baseline sums zero-gap intervals (base_upper <= base_lower), so it
+    // always lies on one side of τ.
     if (eps_mode) {
+      out.decided = true;
       out.decided_value = 0.5 * (out.base_lower + out.base_upper);
     } else {
-      out.decided_above = out.base_lower >= param;
+      DecideTau(out.base_lower, out.base_upper, param, &out);
     }
   }
   out.valid = true;

@@ -26,6 +26,19 @@
 // i.e. ub <= (1+ε)·lb always holds at exhaustion and the midpoint estimate
 // satisfies |R - F| <= ε·F. τKDV accepts only zero-gap intervals, so seeded
 // streams can still reach the exact remainder and classify every pixel.
+//
+// Quadrant passes (τKDV only). BuildTau refines a tile its region pass
+// leaves undecided one level further: every frontier node's region bounds
+// are re-evaluated over each of the tile's four quadrants (layout and
+// soundness: tile_frontier.h). Per quadrant, nodes with a zero region upper
+// bound are pruned, zero-gap intervals join the quadrant baseline and the
+// rest form the quadrant's frontier; nothing is expanded. When all
+// quadrants settle τ the same way the tile is decided outright; a numeric
+// fault in any quadrant drops all four, and the tile frontier serves every
+// pixel. Work: max_nodes_visited caps the tile pass; the quadrant passes add
+// at most 4 × the tile frontier's size. εKDV gets no quadrants: its
+// acceptance budget caps what smaller regions can settle, and ε values would
+// change bits (measurements: DESIGN.md §13).
 #ifndef QUADKDV_CORE_TILE_REFINER_H_
 #define QUADKDV_CORE_TILE_REFINER_H_
 
@@ -72,7 +85,8 @@ class TileRefiner {
   // `query_rect`. eps >= 0.
   TileFrontier BuildEps(const Rect& query_rect, double eps) const;
 
-  // One region pass for a τKDV tile.
+  // One region pass for a τKDV tile, plus the quadrant passes when the tile
+  // is left undecided (see above).
   TileFrontier BuildTau(const Rect& query_rect, double tau) const;
 
   const TileRefinerOptions& options() const { return options_; }
@@ -80,6 +94,15 @@ class TileRefiner {
  private:
   TileFrontier Build(const Rect& query_rect, bool eps_mode,
                      double param) const;
+  // Cuts an undecided, valid τ tile frontier into its quadrants, or decides
+  // the tile when all quadrants settle τ the same way. Leaves the tile as it
+  // was (bar the counted work) on a numeric fault.
+  void AddQuadrants(const Rect& query_rect, double tau,
+                    TileFrontier* tile) const;
+  // Re-bounds every node of `tile` over the sub-rect `rect` into `quad`.
+  // Returns false on a numeric fault.
+  bool BoundQuadrant(const TileFrontier& tile, const Rect& rect, double tau,
+                     TileFrontier* quad, uint64_t* nodes_visited) const;
 
   const KdTree* tree_;
   KernelParams params_;

@@ -92,13 +92,20 @@ TEST_F(TileSharedTauTest, MaskMatchesOracleForDistanceKernels) {
   }
 }
 
+// Chunks of 1, 2 and 3 rows add one-pixel chunks (no quadrant cut), odd
+// pixel counts whose middle center sits on the quadrant cut line, and
+// clipped edge chunks.
 TEST_F(TileSharedTauTest, MaskMatchesOracleOnTinyAndLopsidedGrids) {
   KdeEvaluator quad = bench_.MakeEvaluator(Method::kQuad);
   for (auto [w, h] : {std::pair<int, int>{1, 1}, {7, 3}, {1, 16}, {33, 2}}) {
     PixelGrid grid(w, h, bench_.data_bounds());
     MeanStd stats = EstimateDensityStats(quad, grid, /*stride=*/1);
-    ExpectOracleMask(quad, grid, std::max(stats.mean, 1e-12),
-                     std::to_string(w) + "x" + std::to_string(h));
+    for (int tile_rows : {16, 1, 2, 3}) {
+      ExpectOracleMask(quad, grid, std::max(stats.mean, 1e-12),
+                       std::to_string(w) + "x" + std::to_string(h) +
+                           " rows=" + std::to_string(tile_rows),
+                       tile_rows);
+    }
   }
 }
 

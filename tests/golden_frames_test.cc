@@ -125,8 +125,9 @@ Golden EpsFrame(KernelType kernel, Method method, bool tile_shared) {
 }
 
 // τ is the mean exact density over the frame, so pixels sit on both sides:
-// the tile pass prunes subtrees, defers frontiers and (cosine, exponential)
-// decides whole chunks.
+// the tile pass prunes subtrees, defers frontiers, re-bounds undecided
+// chunks over their quadrants and (cosine, exponential) decides whole
+// chunks.
 Golden TauFrame(KernelType kernel) {
   std::unique_ptr<Workbench> bench = CrimeBench(kernel);
   const PixelGrid grid = GridOver(*bench);
@@ -161,19 +162,19 @@ TEST(GoldenFramesTest, QuadGaussianEpsTileShared) {
 TEST(GoldenFramesTest, QuadTriangularTauTileShared) {
   EXPECT_TRUE(MatchesGolden(
       TauFrame(KernelType::kTriangular),
-      {4148264961u, 6912, 81361, 216885, 71136, 1348, 0, 274, 0, 0, 0}));
+      {4148264961u, 6912, 49773, 204677, 40123, 3008, 0, 274, 0, 0, 0}));
 }
 
 TEST(GoldenFramesTest, QuadCosineTauTileShared) {
   EXPECT_TRUE(MatchesGolden(
       TauFrame(KernelType::kCosine),
-      {2151565245u, 6912, 99952, 308000, 85425, 1706, 0, 306, 1, 128, 0}));
+      {2151565245u, 6912, 62270, 295316, 48338, 3946, 0, 306, 1, 128, 0}));
 }
 
 TEST(GoldenFramesTest, QuadExponentialTauTileShared) {
   EXPECT_TRUE(MatchesGolden(
       TauFrame(KernelType::kExponential),
-      {3487791771u, 6912, 169794, 321938, 156450, 3648, 0, 0, 2, 256, 0}));
+      {3487791771u, 6912, 112477, 321215, 99541, 10928, 0, 0, 3, 512, 0}));
 }
 
 TEST(GoldenFramesTest, QuadEpanechnikovEpsTileShared) {
