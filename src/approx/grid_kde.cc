@@ -7,9 +7,6 @@
 
 namespace kdv {
 
-namespace {
-
-// Distance beyond which K(x(dist)) < truncation, in data-space units.
 double TruncationRadius(const KernelParams& params, double truncation) {
   KDV_CHECK(truncation > 0.0 && truncation < 1.0);
   if (HasFiniteSupport(params.type)) {
@@ -23,8 +20,6 @@ double TruncationRadius(const KernelParams& params, double truncation) {
   return x_cut / params.gamma;  // x = gamma * d
 }
 
-}  // namespace
-
 GridKde::GridKde(const PointSet& points, const KernelParams& params,
                  const Rect& domain, const Options& options)
     : params_(params), domain_(domain),
@@ -35,15 +30,17 @@ GridKde::GridKde(const PointSet& points, const KernelParams& params,
   std::vector<double> dense(static_cast<size_t>(grid_size_) * grid_size_,
                             0.0);
   for (const Point& p : points) {
-    int cx = 0, cy = 0;
+    if (!(p[0] >= domain_.lo(0) && p[0] <= domain_.hi(0) &&
+          p[1] >= domain_.lo(1) && p[1] <= domain_.hi(1))) {
+      continue;
+    }
+    int cell[2];
     for (int axis = 0; axis < 2; ++axis) {
       double len = domain_.Length(axis);
       double t = len > 0.0 ? (p[axis] - domain_.lo(axis)) / len : 0.5;
-      int c = static_cast<int>(std::clamp(t, 0.0, 1.0) * grid_size_);
-      c = std::min(c, grid_size_ - 1);
-      (axis == 0 ? cx : cy) = c;
+      cell[axis] = std::min(static_cast<int>(t * grid_size_), grid_size_ - 1);
     }
-    dense[static_cast<size_t>(cy) * grid_size_ + cx] += 1.0;
+    dense[static_cast<size_t>(cell[1]) * grid_size_ + cell[0]] += 1.0;
   }
   row_start_.reserve(static_cast<size_t>(grid_size_) + 1);
   row_start_.push_back(0);

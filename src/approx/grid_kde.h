@@ -21,10 +21,15 @@
 
 namespace kdv {
 
+// Distance, in data-space units, beyond which a point's kernel value falls
+// below `truncation` (0 < truncation < 1): GridKde drops contributions from
+// farther than this.
+double TruncationRadius(const KernelParams& params, double truncation);
+
 // Thread safety: the binned grid is built in the constructor and only read
 // afterwards (all query methods are const with no caching), so one GridKde
-// may be shared across threads. In practice the serving path builds a fresh
-// per-request instance instead — construction is cheap relative to a frame.
+// may be shared across threads. The serving path's coarse tier does so: its
+// renderer caches one instance per domain and options.
 class GridKde {
  public:
   struct Options {
@@ -41,8 +46,9 @@ class GridKde {
     bool precompute = false;
   };
 
-  // Bins `points` over `domain` (points outside the domain are clamped to
-  // its boundary cells). 2-d only.
+  // Bins `points` over `domain`; points outside the domain are skipped, so
+  // a caller that queries a viewport bins over the viewport grown by
+  // TruncationRadius. 2-d only.
   GridKde(const PointSet& points, const KernelParams& params,
           const Rect& domain, const Options& options);
 

@@ -56,18 +56,6 @@ std::vector<RegionOp> QuadTreeSchedule(int width, int height) {
   return schedule;
 }
 
-std::vector<RegionOp> RowMajorSchedule(int width, int height) {
-  KDV_CHECK(width > 0 && height > 0);
-  std::vector<RegionOp> schedule;
-  schedule.reserve(static_cast<size_t>(width) * height);
-  for (int y = 0; y < height; ++y) {
-    for (int x = 0; x < width; ++x) {
-      schedule.push_back({x, y, x + 1, y + 1, x, y});
-    }
-  }
-  return schedule;
-}
-
 namespace {
 
 // Records why the schedule stopped early and keeps the stats in sync.

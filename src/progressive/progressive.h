@@ -41,10 +41,6 @@ struct RegionOp {
 // the full schedule evaluates the complete frame.
 std::vector<RegionOp> QuadTreeSchedule(int width, int height);
 
-// Row-major schedule (each op is a single pixel). The non-progressive
-// baseline order, used in ablations.
-std::vector<RegionOp> RowMajorSchedule(int width, int height);
-
 // Result of a progressive render.
 struct ProgressiveResult {
   DensityFrame frame;             // fully painted, finite values

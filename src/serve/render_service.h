@@ -217,11 +217,11 @@ class RenderService {
     // tiles back onto the request worker.
     int intra_frame_threads = 1;
     int tile_rows = 16;  // chunk edge in pixels (see RenderOptions::tile_rows)
-    // Shared-traversal tile refinement for the parallel certified path (see
+    // Shared-traversal tile refinement for the certified attempt (see
     // viz/parallel_render.h). Each epoch's renderer keeps its own frontier
-    // cache, keyed by the epoch id, so progressive passes and repeated
-    // viewport renders skip the per-tile region pass and a hot-swap can
-    // never serve stale frontiers.
+    // cache, keyed by the epoch id, so retries and repeated viewport
+    // renders skip the per-chunk region pass and a hot-swap can never
+    // serve stale frontiers.
     bool tile_shared = false;
     BackoffPolicy backoff;
     uint64_t backoff_seed = 0x5EEDBACC0FFull;

@@ -3,10 +3,8 @@
 #include <algorithm>
 
 #include "obs/metrics.h"
-#include "progressive/progressive.h"
 #include "util/check.h"
 #include "util/failpoint.h"
-#include "util/mem_budget.h"
 #include "util/timer.h"
 
 namespace kdv {
@@ -70,17 +68,6 @@ bool Cancelled(const ResilientRenderOptions& opts) {
   return opts.force_cancel != nullptr && opts.force_cancel->cancelled();
 }
 
-// A brownout cap below the certified tier strips the certificate: the frame
-// is still served, but must not claim an ε guarantee it was not allowed to
-// earn.
-void ClampTier(const ResilientRenderOptions& opts, RenderOutcome* outcome) {
-  if (opts.max_tier == QualityTier::kProgressive &&
-      outcome->tier == QualityTier::kCertified) {
-    outcome->tier = QualityTier::kProgressive;
-    outcome->certified_eps = -1.0;
-  }
-}
-
 }  // namespace
 
 const char* QualityTierName(QualityTier tier) {
@@ -136,6 +123,17 @@ void ResilientRenderer::RenderCoarse(const PixelGrid& grid,
   }
   // GridKde bins on a 2-d grid; higher-dimensional data has no coarse path.
   if (evaluator_->tree().dim() != 2) return;
+  // GridKde skips points outside its domain, so bin over the viewport grown
+  // by the truncation radius: a point farther out adds less than
+  // `truncation` to any pixel in view.
+  GridKde::Options coarse_opts = opts.coarse;
+  const double radius =
+      TruncationRadius(evaluator_->params(), coarse_opts.truncation);
+  Rect domain = grid.domain();
+  for (int axis = 0; axis < 2; ++axis) {
+    domain.set_lo(axis, domain.lo(axis) - radius);
+    domain.set_hi(axis, domain.hi(axis) + radius);
+  }
   // The serve tier renders the same coarse surface many times per epoch
   // (brownouts, degradations, scrubber baselines); precompute makes every
   // render after the first cache fill O(pixels) instead of O(data). The
@@ -144,13 +142,11 @@ void ResilientRenderer::RenderCoarse(const PixelGrid& grid,
   // ~grid^2/pixels frames — enabled only when that break-even is a handful
   // of frames, so small frames against a fine grid never stall a brownout
   // burst behind a table build they would not amortize.
-  GridKde::Options coarse_opts = opts.coarse;
   const long pixels = static_cast<long>(grid.width()) * grid.height();
   const long cells = static_cast<long>(coarse_opts.grid_size) *
                      static_cast<long>(coarse_opts.grid_size);
   coarse_opts.precompute = pixels * 8 >= cells;
-  std::shared_ptr<const GridKde> approx =
-      CoarseKde(grid.domain(), coarse_opts);
+  std::shared_ptr<const GridKde> approx = CoarseKde(domain, coarse_opts);
   outcome->frame = approx->RenderFrame(grid);
   outcome->tier = QualityTier::kCoarse;
   RenderObs::Get().coarse_seconds->Record(coarse_timer.ElapsedSeconds());
@@ -173,200 +169,98 @@ RenderOutcome ResilientRenderer::RenderCoarseOnly(
 
 RenderOutcome ResilientRenderer::Render(
     const PixelGrid& grid, const ResilientRenderOptions& opts) const {
-  // Browned out below the refinement tiers: the coarse path is the ladder.
+  // Browned out below the refinement tiers, or cancelled before the start:
+  // RenderCoarseOnly is the whole answer (it reports the cancellation).
   if (opts.max_tier == QualityTier::kCoarse ||
-      opts.max_tier == QualityTier::kFlat) {
+      opts.max_tier == QualityTier::kFlat || Cancelled(opts)) {
     return RenderCoarseOnly(grid, opts);
   }
 
   RenderOutcome outcome;
-  outcome.frame = DensityFrame(grid.width(), grid.height());
-
-  if (Cancelled(opts)) {
-    outcome.cancelled = true;
-    RecordFault(&outcome, CancelledError("render cancelled before start"));
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-
+  // An injected entry fault, or a zero budget (treated as already expired),
+  // skips the certified attempt.
   Status injected = KDV_FAILPOINT_STATUS("serve.render");
-  if (!injected.ok()) {
-    RecordFault(&outcome, injected);
+  if (!injected.ok() || opts.budget_seconds == 0.0) {
+    outcome.frame = DensityFrame(grid.width(), grid.height());
+    if (!injected.ok()) {
+      RecordFault(&outcome, injected);
+    } else {
+      outcome.deadline_expired = true;
+      if (!opts.degrade) {
+        RecordFault(&outcome,
+                    DeadlineExceededError("render budget exhausted (0s)"));
+      }
+    }
     if (opts.degrade) RenderCoarse(grid, opts, &outcome);
     Finalize(opts, &outcome);
     return outcome;
   }
 
-  // A zero budget is treated as already expired: skip the certified path.
-  const bool pre_expired = opts.budget_seconds == 0.0;
-  if (pre_expired) {
-    outcome.deadline_expired = true;
-    if (!opts.degrade) {
-      RecordFault(&outcome,
-                  DeadlineExceededError("render budget exhausted (0s)"));
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    RenderCoarse(grid, opts, &outcome);
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-
-  // Certified path: progressive quad-tree refinement under the deadline.
+  // The certified attempt: one εKDV frame through the frame driver, on the
+  // deadline. A brownout cap below kCertified runs it caller-only, so the
+  // shared tile pool stays free for full-tier requests.
   Deadline deadline(opts.budget_seconds > 0.0 ? opts.budget_seconds : 0.0);
   QueryControl control;
   if (opts.budget_seconds > 0.0) control.deadline = &deadline;
   control.cancel = opts.cancel;
   control.force_cancel = opts.force_cancel;
   control.heartbeat = opts.heartbeat;
-
-  // Tiled certified attempt: a tile-parallel εKDV frame on the same
-  // deadline. A clean completion is a certificate; anything cut short falls
-  // through to the serial progressive ladder below (sharing the deadline, so
-  // total budget is still honored). Taken when there is genuine fan-out
-  // (a pool and >1 threads) OR when tile-shared refinement is on — the
-  // shared region pass is a work reduction, not a parallelism play, so it
-  // pays at one thread too (the renderer runs chunks inline on a null pool).
-  // Skipped under a progressive brownout cap: the attempt exists to win a
-  // certificate this render may not claim, and skipping it keeps the shared
-  // tile pool free for full-tier requests.
-  BatchStats parallel_stats;
-  const bool tried_parallel =
-      opts.max_tier == QualityTier::kCertified &&
-      (opts.parallel.tile_shared ||
-       (opts.tile_pool != nullptr &&
-        ResolveRenderThreads(opts.parallel.num_threads) > 1));
-  if (tried_parallel) {
-    // The tiled attempt materializes a second full frame alongside the
-    // outcome's; charge it for as long as both are alive.
-    ScopedMemCharge pframe_charge(
-        &MemBudget::Global(), MemSource::kFrameBuffers,
-        static_cast<uint64_t>(grid.width()) *
-            static_cast<uint64_t>(grid.height()) * sizeof(double));
-    RenderOptions parallel_opts = opts.parallel;
-    if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
-      parallel_opts.frontier_cache = &frontier_cache_;
-    }
-    Timer attempt_timer;
-    DensityFrame pframe =
-        RenderEpsFrameParallel(*evaluator_, grid, opts.eps, parallel_opts,
-                               opts.tile_pool, control, &parallel_stats);
-    // Split the attempt between the shared region passes (tile_seconds, CPU
-    // time summed by the tile workers) and everything else, which is the
-    // per-pixel refinement work.
-    const double attempt_seconds = attempt_timer.ElapsedSeconds();
-    const double refine_seconds =
-        std::max(0.0, attempt_seconds - parallel_stats.tile_seconds);
-    if (opts.trace != nullptr) {
-      opts.trace->AddStage(obs::TraceStage::kTilePass,
-                           parallel_stats.tile_seconds);
-      opts.trace->AddStage(obs::TraceStage::kRefinement, refine_seconds);
-    }
-    RenderObs::Get().tile_pass_seconds->Record(parallel_stats.tile_seconds);
-    RenderObs::Get().refinement_seconds->Record(refine_seconds);
-    outcome.numeric_faults += parallel_stats.numeric_faults;
-    outcome.deadline_expired |= parallel_stats.deadline_expired;
-    outcome.cancelled |= parallel_stats.cancelled;
-
-    if (parallel_stats.cancelled) {
-      outcome.stats = parallel_stats;
-      outcome.frame = std::move(pframe);
-      outcome.tier = parallel_stats.queries > 0 ? QualityTier::kProgressive
-                                                : QualityTier::kFlat;
-      RecordFault(&outcome, CancelledError("render cancelled"));
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    if (!parallel_stats.status.ok()) {
-      // Internal/injected fault in the parallel certified path: same
-      // degradation (and breaker/retry visibility) as a serial-path fault.
-      outcome.stats = parallel_stats;
-      RecordFault(&outcome, parallel_stats.status);
-      if (opts.degrade) RenderCoarse(grid, opts, &outcome);
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    if (parallel_stats.completed) {
-      outcome.stats = parallel_stats;
-      outcome.frame = std::move(pframe);
-      if (parallel_stats.numeric_faults == 0) {
-        outcome.tier = QualityTier::kCertified;
-        outcome.certified_eps = opts.eps;
-      } else {
-        // Fully painted but clamped somewhere: usable, no certificate.
-        outcome.tier = QualityTier::kProgressive;
-      }
-      Finalize(opts, &outcome);
-      return outcome;
-    }
-    // Deadline fired mid-frame: the tiled frame has unclaimed holes; let the
-    // progressive ladder paint a complete (coarser) one on what remains.
+  RenderOptions parallel_opts = opts.parallel;
+  if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
+    parallel_opts.frontier_cache = &frontier_cache_;
   }
-
-  Timer prog_timer;
-  ProgressiveResult prog = RenderProgressive(
-      *evaluator_, grid, opts.eps, control,
-      QuadTreeSchedule(grid.width(), grid.height()));
-  const double prog_seconds = prog_timer.ElapsedSeconds();
+  Executor* pool =
+      opts.max_tier == QualityTier::kCertified ? opts.tile_pool : nullptr;
+  Timer attempt_timer;
+  outcome.frame = RenderEpsFrameParallel(*evaluator_, grid, opts.eps,
+                                         parallel_opts, pool, control,
+                                         &outcome.stats);
+  // Split the attempt between the shared region passes (tile_seconds, CPU
+  // time summed by the tile workers) and everything else, which is the
+  // per-pixel refinement work.
+  const BatchStats& stats = outcome.stats;
+  const double attempt_seconds = attempt_timer.ElapsedSeconds();
+  const double refine_seconds =
+      std::max(0.0, attempt_seconds - stats.tile_seconds);
   if (opts.trace != nullptr) {
-    opts.trace->AddStage(obs::TraceStage::kRefinement, prog_seconds);
+    opts.trace->AddStage(obs::TraceStage::kTilePass, stats.tile_seconds);
+    opts.trace->AddStage(obs::TraceStage::kRefinement, refine_seconds);
   }
-  RenderObs::Get().refinement_seconds->Record(prog_seconds);
-  outcome.stats = prog.stats;
-  // Work spent in the abandoned tiled attempt (including its tile pass and
-  // any frontier-cache hit) still counts.
-  if (tried_parallel) AddWorkCounters(parallel_stats, &outcome.stats);
-  outcome.numeric_faults += prog.numeric_faults;
-  outcome.deadline_expired |= prog.deadline_expired;
-  outcome.cancelled |= prog.cancelled;
+  RenderObs::Get().tile_pass_seconds->Record(stats.tile_seconds);
+  RenderObs::Get().refinement_seconds->Record(refine_seconds);
+  outcome.numeric_faults = stats.numeric_faults;
+  outcome.deadline_expired = stats.deadline_expired;
+  outcome.cancelled = stats.cancelled;
 
-  if (prog.cancelled) {
-    // A cancelled request is never "served": keep whatever frame exists but
-    // report the cancellation.
-    outcome.frame = std::move(prog.frame);
-    outcome.tier = prog.pixels_evaluated > 0 ? QualityTier::kProgressive
-                                             : QualityTier::kFlat;
+  if (stats.completed) {
+    // Every pixel is painted. Clamped pixels, or a brownout cap below the
+    // certified tier, strip the certificate: the frame still ships, but
+    // claims no ε.
+    if (stats.numeric_faults == 0 &&
+        opts.max_tier == QualityTier::kCertified) {
+      outcome.tier = QualityTier::kCertified;
+      outcome.certified_eps = opts.eps;
+    } else {
+      outcome.tier = QualityTier::kProgressive;
+    }
+    Finalize(opts, &outcome);
+    return outcome;
+  }
+
+  // Cut short by a cancellation, a fault or the deadline: the frame has
+  // unpainted pixels and never ships. A cancelled request is never served;
+  // otherwise the coarse tier stands in (degrade) or the miss is an error.
+  std::fill(outcome.frame.values.begin(), outcome.frame.values.end(), 0.0);
+  if (outcome.cancelled) {
     RecordFault(&outcome, CancelledError("render cancelled"));
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-
-  if (!prog.status.ok()) {
-    // Internal/injected fault in the certified path.
-    RecordFault(&outcome, prog.status);
-    if (opts.degrade) RenderCoarse(grid, opts, &outcome);
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-
-  if (prog.completed && prog.numeric_faults == 0) {
-    outcome.frame = std::move(prog.frame);
-    outcome.tier = QualityTier::kCertified;
-    outcome.certified_eps = opts.eps;
-    ClampTier(opts, &outcome);
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-
-  if (prog.completed || prog.pixels_evaluated > 0) {
-    // Fully painted but either clamped somewhere or cut short: a usable
-    // frame without a certificate.
-    outcome.frame = std::move(prog.frame);
-    outcome.tier = QualityTier::kProgressive;
-    if (outcome.deadline_expired && !opts.degrade) {
+  } else {
+    if (!stats.status.ok()) {
+      RecordFault(&outcome, stats.status);
+    } else if (!opts.degrade) {
       RecordFault(&outcome, DeadlineExceededError("render budget exhausted"));
     }
-    Finalize(opts, &outcome);
-    return outcome;
+    if (opts.degrade) RenderCoarse(grid, opts, &outcome);
   }
-
-  // Deadline fired before a single pixel was refined.
-  if (!opts.degrade) {
-    RecordFault(&outcome, DeadlineExceededError("render budget exhausted"));
-    Finalize(opts, &outcome);
-    return outcome;
-  }
-  RenderCoarse(grid, opts, &outcome);
   Finalize(opts, &outcome);
   return outcome;
 }

@@ -1,17 +1,26 @@
 // Resilient render front-end: QUAD under a budget, with graceful degradation.
 //
-// The guaranteed-bound path (RenderProgressive over the quad-tree schedule)
-// is the primary renderer. When it cannot finish — deadline expired, fault
-// injected, numeric trouble — the ResilientRenderer walks a degradation
-// ladder instead of failing the request:
+// Every render makes at most one certified attempt: a whole εKDV frame
+// through the frame driver (RenderEpsFrameParallel, viz/parallel_render.h)
+// on the request's deadline. What ships depends on how that attempt ends:
 //
-//   1. kCertified    full εKDV frame, every pixel within the requested ε.
-//   2. kProgressive  partially refined quad-tree frame: fully painted and
-//                    finite, coarse where refinement did not reach.
-//   3. kCoarse       GridKde (binned convolution) frame: no error guarantee,
-//                    but a recognizable density map.
-//   4. kFlat         all-zero frame. Returned only when even the coarse
-//                    path is unavailable (injected fault, non-2d data).
+//   1. kCertified    the attempt completed: every pixel within the
+//                    requested ε.
+//   2. kProgressive  the attempt completed, but without a certificate:
+//                    some pixel was clamped by numeric hardening, or a
+//                    brownout cap (max_tier) forbade the claim.
+//   3. kCoarse       the attempt was cut short (deadline, injected fault)
+//                    or skipped (zero budget, brownout to coarse, open
+//                    breaker): a GridKde (binned convolution) frame over
+//                    the viewport, with no error guarantee but a
+//                    recognizable density map.
+//   4. kFlat         all-zero frame. Returned when even the coarse path is
+//                    unavailable (injected fault, non-2-d data), and for
+//                    cancelled or fail-fast renders that did not complete.
+//
+// A cut-short attempt never ships its partial frame: its unclaimed pixels
+// carry no value at all, and the coarse tier is the better no-guarantee
+// answer.
 //
 // Invariants, whatever happens inside:
 //   * The returned frame always has the requested dimensions and only
@@ -78,8 +87,8 @@ struct ResilientRenderOptions {
 
   // Best tier the render is allowed to claim/attempt — the brownout
   // governor's lever. kCertified (default): full ladder. kProgressive: the
-  // parallel certified fan-out is skipped and a completed frame ships as
-  // kProgressive with no ε certificate (the refinement work still honors
+  // attempt runs caller-only (tile_pool unused) and a completed frame ships
+  // as kProgressive with no ε certificate (the refinement work still honors
   // `eps`, which the governor raises alongside this cap). kCoarse or
   // kFlat: straight to the GridKde fallback, as RenderCoarseOnly.
   QualityTier max_tier = QualityTier::kCertified;
@@ -87,20 +96,15 @@ struct ResilientRenderOptions {
   // Options for the GridKde coarse fallback.
   GridKde::Options coarse;
 
-  // Intra-frame parallelism of the certified path. When `tile_pool` is set
-  // and `parallel.num_threads` resolves above 1 — or whenever
-  // `parallel.tile_shared` is on, which pays as a work reduction even
-  // single-threaded — Render() first attempts a tile-parallel whole-frame
-  // εKDV render (viz/parallel_render.h) on the
-  // remaining budget; a frame that completes cleanly ships as kCertified.
-  // If the budget (or a cancellation/fault) cuts the tiled frame short, the
-  // renderer falls through to the serial progressive ladder, which degrades
-  // to a fully painted frame instead of one with unclaimed-tile holes.
-  // The pool is borrowed, never owned, and must outlive the call.
+  // Frame-driver options of the certified attempt, and its helper pool.
+  // Helpers come from `tile_pool` when `parallel.num_threads` resolves above
+  // 1; otherwise the calling thread renders alone. `parallel.tile_shared`
+  // is a work reduction, so it pays single-threaded too. The pool is
+  // borrowed, never owned, and must outlive the call.
   // When parallel.tile_shared is on and parallel.frontier_cache is null, the
   // renderer substitutes its own cross-frame FrontierCache, so repeated
-  // renders of one viewport (progressive passes, pan-and-return) skip the
-  // tile region pass. parallel.cache_epoch should carry the serving epoch id.
+  // renders of one viewport (retries, pan-and-return) skip the tile region
+  // pass. parallel.cache_epoch should carry the serving epoch id.
   RenderOptions parallel;
   Executor* tile_pool = nullptr;
 
@@ -128,7 +132,8 @@ struct RenderOutcome {
   // internal/injected faults (which may still ship a degraded frame).
   Status status = OkStatus();
 
-  // Stats of the certified-path attempt (zeroed if it was skipped).
+  // Stats of the certified attempt, cut short or not (zeroed if it was
+  // skipped).
   BatchStats stats;
 
   bool ok() const { return status.ok(); }

@@ -223,6 +223,10 @@ Status SimEnv::SetUp() {
   so.breaker.cooldown_seconds = 0.2;
   so.clock = &clock_;
   so.executor = &executor_;
+  // Odd seeds serve tile-shared, as production does; even seeds keep the
+  // per-pixel path. Read off the seed, not drawn from rng_, so every seed's
+  // op and fault sequence is the same either way.
+  so.tile_shared = (options_.seed & 1) != 0;
   so.governor.enabled = true;
   so.governor.memory_budget_bytes = 0;  // real RSS is not deterministic
   so.watchdog.enabled = true;
@@ -230,6 +234,7 @@ Status SimEnv::SetUp() {
   so.watchdog.no_progress_seconds = 0.5;
   so.watchdog.no_budget_kill_seconds = 5.0;
   service_ = std::make_unique<RenderService>(so);
+  Log(std::string("config tile_shared=") + (so.tile_shared ? "1" : "0"));
 
   PublishEpoch("bootstrap");
 

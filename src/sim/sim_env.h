@@ -21,6 +21,10 @@
 //     never Start()); the driver invokes their sweep/tick entry points at
 //     deterministic points of virtual time.
 //
+// The service renders tile-shared on odd seeds and per-pixel on even ones,
+// so a sweep puts the oracles on both frame paths; the run's first event
+// records which.
+//
 // Everything the run does lands in a canonical event log (no pointers, no
 // wall time, no paths), hashed with CRC32. Two runs of the same seed and
 // config must produce the same hash — that is the replay contract

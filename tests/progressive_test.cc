@@ -54,19 +54,6 @@ TEST(QuadTreeScheduleTest, CoarseRegionsComeFirst) {
   }
 }
 
-TEST(RowMajorScheduleTest, OnePixelPerOpInOrder) {
-  std::vector<RegionOp> schedule = RowMajorSchedule(3, 2);
-  ASSERT_EQ(schedule.size(), 6u);
-  EXPECT_EQ(schedule[0].cx, 0);
-  EXPECT_EQ(schedule[0].cy, 0);
-  EXPECT_EQ(schedule[4].cx, 1);
-  EXPECT_EQ(schedule[4].cy, 1);
-  for (const RegionOp& op : schedule) {
-    EXPECT_EQ(op.x1 - op.x0, 1);
-    EXPECT_EQ(op.y1 - op.y0, 1);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Progressive rendering
 // ---------------------------------------------------------------------------

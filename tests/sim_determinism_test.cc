@@ -6,7 +6,8 @@
 // FaultSchedule's spec round-trip plus the greedy shrinker. Part 2 is the
 // whole-stack contract: RunSimulation twice with the same seed must produce
 // byte-identical event logs (and hashes, and counters), different seeds must
-// diverge, and the planted-bug canary proves the invariant checkers and the
+// diverge, the seed's low bit must pick the service's frame path, and the
+// planted-bug canary proves the invariant checkers and the
 // schedule reducer actually catch and minimize a real bookkeeping bug.
 // Part 3 asserts the Stop() latency bound the Clock seam exists to provide:
 // components with periodic background loops (watchdog, scrubber) must stop
@@ -223,6 +224,21 @@ TEST(SimReplayTest, DifferentSeedsDiverge) {
   EXPECT_FALSE(a.failed) << a.failure;
   EXPECT_FALSE(b.failed) << b.failure;
   EXPECT_NE(a.event_hash, b.event_hash);
+}
+
+// The seed's low bit picks the service's frame path (odd: tile-shared), and
+// the run's first event records it.
+TEST(SimReplayTest, SeedParityPicksTheFramePath) {
+  SimReport odd = RunSimulation(SmallRun(11));
+  SimReport even = RunSimulation(SmallRun(12));
+  EXPECT_FALSE(odd.failed) << odd.failure;
+  EXPECT_FALSE(even.failed) << even.failure;
+  ASSERT_FALSE(odd.events.empty());
+  ASSERT_FALSE(even.events.empty());
+  EXPECT_NE(odd.events[0].find("config tile_shared=1"), std::string::npos)
+      << odd.events[0];
+  EXPECT_NE(even.events[0].find("config tile_shared=0"), std::string::npos)
+      << even.events[0];
 }
 
 TEST(SimReplayTest, FaultsDisabledStillRunsAndDiffersFromFaulted) {

@@ -83,14 +83,15 @@ int Usage() {
       "                [--threads N (0 = hardware concurrency)\n"
       "                 --tile-rows R (chunk edge: threads claim R x R pixel\n"
       "                 chunks, then share their rows; default 16)\n"
-      "                 --tile-shared on|off (amortize tree traversal across\n"
-      "                 tile pixels; off is bit-identical to per-pixel)\n"
+      "                 --tile-shared on|off (default on: amortize tree\n"
+      "                 traversal across chunk pixels; off is per-pixel\n"
+      "                 refinement, the bitwise oracle)\n"
       "                 --json (machine-readable stats incl. pruning\n"
       "                 counters and the active SIMD level; KDV_SIMD=\n"
       "                 scalar|sse2|avx2 pins the leaf-kernel dispatch)]\n"
       "  hotspot:      --tau T | --tau-sigma K (tau = mu + K*sigma)\n"
       "                [--threads N --tile-rows R (chunk edge)\n"
-      "                 --tile-shared on|off]\n"
+      "                 --tile-shared on|off (default on)]\n"
       "  progressive:  --eps E --budget SECONDS\n"
       "  classify:     --in FILE.csv --label-col I (x,y + integer labels)\n"
       "  regress:      --in FILE.csv --target-col I (x,y + target >= 0)\n"
@@ -99,6 +100,7 @@ int Usage() {
       "                [--clients C (default 4x threads) --queue Q\n"
       "                 --frame-threads N (intra-frame tile workers)\n"
       "                 --tile-rows R (chunk edge) --tile-shared on|off\n"
+      "                 (default on)\n"
       "                 --eps E --on-deadline degrade|fail\n"
       "                 --failpoints \"site=action;...\" --json\n"
       "                 --swap-after N (hot-swap the evaluator after N\n"
@@ -230,11 +232,12 @@ bool ParseFrameThreads(const Flags& flags, const char* cmd, int* threads,
   return true;
 }
 
-// Parses --tile-shared=on|off (default off): shared-traversal tile
-// refinement for the frame renderers. Returns false (after printing a usage
+// Parses --tile-shared=on|off (default on, as serving runs): shared-
+// traversal tile refinement for the frame renderers. off is per-pixel
+// refinement, the bitwise oracle. Returns false (after printing a usage
 // error) on any other value.
 bool ParseTileShared(const Flags& flags, const char* cmd, bool* tile_shared) {
-  const std::string v = flags.GetString("tile-shared", "off");
+  const std::string v = flags.GetString("tile-shared", "on");
   if (v == "on") {
     *tile_shared = true;
     return true;
@@ -539,7 +542,7 @@ int CmdRender(const Flags& flags) {
   int threads = 1;
   int tile_rows = 16;
   if (!ParseFrameThreads(flags, "render", &threads, &tile_rows)) return 2;
-  bool tile_shared = false;
+  bool tile_shared = true;
   if (!ParseTileShared(flags, "render", &tile_shared)) return 2;
   if (flags.Has("budget-ms")) {
     return CmdRenderBudgeted(flags, &s, eps, threads, tile_rows, tile_shared);
@@ -630,7 +633,7 @@ int CmdHotspot(const Flags& flags) {
   int threads = 1;
   int tile_rows = 16;
   if (!ParseFrameThreads(flags, "hotspot", &threads, &tile_rows)) return 2;
-  bool tile_shared = false;
+  bool tile_shared = true;
   if (!ParseTileShared(flags, "hotspot", &tile_shared)) return 2;
   std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
   RenderOptions ropts;
@@ -978,7 +981,7 @@ int CmdServeSim(const Flags& flags) {
                  "kdvtool serve-sim: --tile-rows must be an integer >= 1\n");
     return 2;
   }
-  bool tile_shared = false;
+  bool tile_shared = true;
   if (!ParseTileShared(flags, "serve-sim", &tile_shared)) return 2;
   const int clients = flags.GetInt("clients", threads * 4);
   const long requests = flags.GetInt("requests", 100);
