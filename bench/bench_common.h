@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "quadkdv.h"
 
@@ -55,47 +54,6 @@ inline void PrintHeader(const std::string& figure,
               BenchScale(), BenchPixelsX(), BenchPixelsX() * 3 / 4);
   std::printf("==============================================================="
               "=\n");
-}
-
-// Formats a duration like the paper's log-scale time plots.
-inline std::string Secs(double s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%9.3f", s);
-  return buf;
-}
-
-// Writes one CSV row of doubles to an already-open file (no-op if null).
-inline void CsvRow(std::FILE* f, const std::vector<double>& values) {
-  if (f == nullptr) return;
-  for (size_t i = 0; i < values.size(); ++i) {
-    std::fprintf(f, "%s%.17g", i == 0 ? "" : ",", values[i]);
-  }
-  std::fprintf(f, "\n");
-}
-
-// Per-run observability block for the bench JSON artifacts: every counter
-// the run incremented plus count/sum/p50/p99 of every duration histogram
-// (queue wait, tile pass, refinement, bound evals per pixel). Built with
-// JsonWriter so it splices into the artifact as one pre-escaped value.
-inline std::string MetricsBlockJson() {
-  const kdv::obs::MetricsSnapshot snap =
-      kdv::obs::MetricsRegistry::Global().Snapshot();
-  kdv::JsonWriter w;
-  w.BeginObject();
-  w.Key("counters").BeginObject();
-  for (const auto& [name, value] : snap.counters) w.Key(name).Value(value);
-  w.EndObject();
-  w.Key("histograms").BeginObject();
-  for (const kdv::obs::HistogramSnapshot& h : snap.histograms) {
-    w.Key(h.name).BeginObject()
-        .Key("count").Value(h.count)
-        .Key("sum").Number(h.sum, 9)
-        .Key("p50").Number(h.p50, 9)
-        .Key("p99").Number(h.p99, 9)
-        .EndObject();
-  }
-  w.EndObject().EndObject();
-  return w.Take();
 }
 
 }  // namespace kdv_bench

@@ -64,7 +64,7 @@ const char* SimdLevelName(SimdLevel level);
 // Reference implementation: the historical scalar AoS loop
 //   sum_i params.weight-less profile(SquaredDistance(q, points()[i]))
 // over [begin, end), times params.weight. Kept as the bit-exactness oracle
-// for tests and the AoS baseline for bench_frame.
+// for tests.
 double LeafSumAoS(const KdTree& tree, const KernelParams& params,
                   uint32_t begin, uint32_t end, const Point& q);
 

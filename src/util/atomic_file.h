@@ -39,8 +39,8 @@ Status AtomicWriteFile(const std::string& path, const std::string& data);
 
 // Publishes an already-written temp file over `final_path`: fsync the temp,
 // rename it, fsync the directory. The temp must live in the same directory
-// (rename must not cross filesystems). Used by writers that stream to a
-// temp FILE* (the bench JSON reports) instead of staging in memory.
+// (rename must not cross filesystems). For writers that stream to a temp
+// FILE* instead of staging in memory.
 Status AtomicPublish(const std::string& temp_path,
                      const std::string& final_path);
 

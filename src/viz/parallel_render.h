@@ -54,7 +54,7 @@
 namespace kdv {
 
 // Intra-frame parallelism knobs, threaded end-to-end (CLI --threads, the
-// render service, the resilient renderer, bench_frame).
+// render service, the resilient renderer, the benchmark suite).
 struct RenderOptions {
   // Worker threads per frame, including the calling thread. 0 means
   // hardware_concurrency; 1 renders serially in the caller. Values above 1

@@ -29,6 +29,7 @@
 #include "core/refinement_stream.h"
 #include "data/datasets.h"
 #include "index/kdtree.h"
+#include "stats/density_stats.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workbench/workbench.h"
@@ -691,6 +692,39 @@ TEST(TileSharedTest, OneChunkFrameRowsAreShared) {
         << where;
     ExpectSameCounters(want.stats, got.stats, where);
   }
+}
+
+// The shared traversal must cut work, not just move it: on the crime
+// analogue (scale 0.005, 128x128 over the data extent) a tile-shared frame
+// evaluates strictly fewer per-pixel node bounds than the per-pixel frame,
+// for εKDV (ε = 0.05) and for τKDV (τ = the mean density), with the same τ
+// mask. One thread suffices: FramesInvariantToThreadCount pins the counters
+// across thread counts.
+TEST(TileSharedTest, SharedTraversalEvaluatesFewerPixelBounds) {
+  StatusOr<std::unique_ptr<Workbench>> bench = Workbench::Create(
+      GenerateMixture(CrimeSpec(0.005)), KernelType::kGaussian);
+  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  KdeEvaluator evaluator = (*bench)->MakeEvaluator(Method::kQuad);
+  PixelGrid grid(128, 128, (*bench)->data_bounds());
+  const double eps = 0.05;
+  const double tau = EstimateDensityStats(evaluator, grid, /*stride=*/8).mean;
+
+  BatchStats eps_stats[2];  // [0] per-pixel, [1] tile-shared
+  BatchStats tau_stats[2];
+  BinaryFrame masks[2];
+  for (int shared = 0; shared < 2; ++shared) {
+    RenderOptions options;
+    options.tile_shared = shared == 1;
+    RenderEpsFrameParallel(evaluator, grid, eps, options, nullptr,
+                           QueryControl(), &eps_stats[shared]);
+    masks[shared] = RenderTauFrameParallel(evaluator, grid, tau, options,
+                                           nullptr, QueryControl(),
+                                           &tau_stats[shared]);
+    ASSERT_TRUE(eps_stats[shared].completed && tau_stats[shared].completed);
+  }
+  EXPECT_LT(eps_stats[1].nodes_visited, eps_stats[0].nodes_visited);
+  EXPECT_LT(tau_stats[1].nodes_visited, tau_stats[0].nodes_visited);
+  EXPECT_EQ(masks[1].values, masks[0].values);
 }
 
 // ---------------------------------------------------------------------------

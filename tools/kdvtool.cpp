@@ -192,6 +192,18 @@ int GetValidatedInt(const Flags& flags, const std::string& name,
   return static_cast<int>(v);
 }
 
+// Reads a count flag through GetValidatedInt. Returns false (after printing
+// a usage error that names the flag) when the value is malformed or below
+// `min`.
+bool ParseCountFlag(const Flags& flags, const char* cmd, const char* name,
+                    int default_value, int min, int* out) {
+  *out = GetValidatedInt(flags, name, default_value);
+  if (*out >= min) return true;
+  std::fprintf(stderr, "kdvtool %s: --%s must be an integer >= %d\n", cmd,
+               name, min);
+  return false;
+}
+
 // Strict uint64 accessor for seed flags. Seeds span the full 64-bit space,
 // which Flags::GetInt would truncate; malformed text fails parsing so the
 // caller can reject it by name instead of silently simulating the default.
@@ -223,13 +235,7 @@ bool ParseFrameThreads(const Flags& flags, const char* cmd, int* threads,
                  cmd);
     return false;
   }
-  *tile_rows = GetValidatedInt(flags, "tile-rows", 16);
-  if (*tile_rows < 1) {
-    std::fprintf(stderr, "kdvtool %s: --tile-rows must be an integer >= 1\n",
-                 cmd);
-    return false;
-  }
-  return true;
+  return ParseCountFlag(flags, cmd, "tile-rows", 16, 1, tile_rows);
 }
 
 // Parses --tile-shared=on|off (default on, as serving runs): shared-
@@ -411,18 +417,28 @@ struct Session {
   int height = 480;
 };
 
-bool OpenSession(const Flags& flags, Session* session) {
+// Reads --width/--height, loads the input and builds the workbench. Returns
+// 0 on success, 2 on a malformed resolution (a usage error), and 1 when the
+// input, kernel or method cannot be used.
+int OpenSession(const Flags& flags, const char* cmd, Session* session) {
+  if (!ParseCountFlag(flags, cmd, "width", 640, 1, &session->width)) return 2;
+  const int default_height =
+      static_cast<int>(static_cast<int64_t>(session->width) * 3 / 4);
+  if (!ParseCountFlag(flags, cmd, "height", default_height, 1,
+                      &session->height)) {
+    return 2;
+  }
   PointSet points;
-  if (!LoadInput(flags, &points)) return false;
+  if (!LoadInput(flags, &points)) return 1;
 
   KernelType kernel = KernelType::kGaussian;
   if (!ParseKernel(flags.GetString("kernel", "gaussian"), &kernel)) {
     std::fprintf(stderr, "kdvtool: unknown --kernel\n");
-    return false;
+    return 1;
   }
   if (!ParseMethod(flags.GetString("method", "quad"), &session->method)) {
     std::fprintf(stderr, "kdvtool: unknown --method\n");
-    return false;
+    return 1;
   }
   Workbench::Options options;
   options.gamma_override = GetValidatedDouble(flags, "gamma", -1.0);
@@ -431,21 +447,15 @@ bool OpenSession(const Flags& flags, Session* session) {
       Workbench::Create(std::move(points), kernel, options);
   if (!bench.ok()) {
     PrintStatus(bench.status());
-    return false;
+    return 1;
   }
   session->bench = *std::move(bench);
   if (session->method != Method::kExact &&
       !session->bench->Supports(session->method)) {
     std::fprintf(stderr, "kdvtool: method does not support this kernel\n");
-    return false;
+    return 1;
   }
-  session->width = flags.GetInt("width", 640);
-  session->height = flags.GetInt("height", session->width * 3 / 4);
-  if (session->width < 1 || session->height < 1) {
-    std::fprintf(stderr, "kdvtool: bad resolution\n");
-    return false;
-  }
-  return true;
+  return 0;
 }
 
 int CmdInfo(const Flags& flags) {
@@ -467,7 +477,7 @@ int CmdInfo(const Flags& flags) {
     return 0;
   }
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "info", &s); rc != 0) return rc;
   const Workbench& b = *s.bench;
   std::printf("points:       %zu (dim %d)\n", b.num_points(), b.tree().dim());
   std::printf("bounds:       [%g, %g] x [%g, %g]\n", b.data_bounds().lo(0),
@@ -532,7 +542,7 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps, int threads,
 
 int CmdRender(const Flags& flags) {
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "render", &s); rc != 0) return rc;
   double eps = GetValidatedDouble(flags, "eps", 0.01);
   Status eps_status = ValidateEps(eps);
   if (!eps_status.ok()) {
@@ -611,7 +621,7 @@ int CmdRender(const Flags& flags) {
 
 int CmdHotspot(const Flags& flags) {
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "hotspot", &s); rc != 0) return rc;
   KdeEvaluator evaluator = s.bench->MakeEvaluator(
       s.method == Method::kQuad ? Method::kQuad : s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
@@ -664,7 +674,7 @@ int CmdHotspot(const Flags& flags) {
 
 int CmdProgressive(const Flags& flags) {
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "progressive", &s); rc != 0) return rc;
   double eps = GetValidatedDouble(flags, "eps", 0.01);
   Status eps_status = ValidateEps(eps);
   if (!eps_status.ok()) {
@@ -958,7 +968,7 @@ double Percentile(const std::vector<double>& sorted, double p) {
 // any were violated.
 int CmdServeSim(const Flags& flags) {
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "serve-sim", &s); rc != 0) return rc;
 
   const int threads_flag = GetValidatedInt(flags, "threads", 4);
   if (threads_flag < 0) {
@@ -975,19 +985,22 @@ int CmdServeSim(const Flags& flags) {
                  "(0 = hardware concurrency)\n");
     return 2;
   }
-  int tile_rows = GetValidatedInt(flags, "tile-rows", 16);
-  if (tile_rows < 1) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --tile-rows must be an integer >= 1\n");
+  int tile_rows = 0;
+  if (!ParseCountFlag(flags, "serve-sim", "tile-rows", 16, 1, &tile_rows)) {
     return 2;
   }
   bool tile_shared = true;
   if (!ParseTileShared(flags, "serve-sim", &tile_shared)) return 2;
-  const int clients = flags.GetInt("clients", threads * 4);
-  const long requests = flags.GetInt("requests", 100);
-  if (clients < 1 || requests < 1) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --clients/--requests must be >= 1\n");
+  int clients = 0;
+  int requests = 0;
+  int queue = 0;
+  int max_attempts = 0;
+  if (!ParseCountFlag(flags, "serve-sim", "clients", threads * 4, 1,
+                      &clients) ||
+      !ParseCountFlag(flags, "serve-sim", "requests", 100, 1, &requests) ||
+      !ParseCountFlag(flags, "serve-sim", "queue", threads * 2, 1, &queue) ||
+      !ParseCountFlag(flags, "serve-sim", "max-attempts", 3, 1,
+                      &max_attempts)) {
     return 2;
   }
   double budget_ms = GetValidatedDouble(flags, "budget-ms", -1.0);
@@ -1086,8 +1099,8 @@ int CmdServeSim(const Flags& flags) {
 
   RenderService::Options options;
   options.num_threads = threads;
-  options.max_queue = static_cast<size_t>(flags.GetInt("queue", threads * 2));
-  options.max_attempts = flags.GetInt("max-attempts", 3);
+  options.max_queue = static_cast<size_t>(queue);
+  options.max_attempts = max_attempts;
   options.intra_frame_threads = frame_threads;
   options.tile_rows = tile_rows;
   options.tile_shared = tile_shared;
@@ -1259,7 +1272,7 @@ int CmdServeSim(const Flags& flags) {
         .Key("build").Value(BuildStamp())
         .Key("threads").Value(threads)
         .Key("clients").Value(clients)
-        .Key("requests").Value(static_cast<int64_t>(requests))
+        .Key("requests").Value(requests)
         .Key("budget_ms").Number(budget_ms, 6)
         .Key("wall_seconds").Number(wall_seconds, 6)
         .Key("throughput_rps").Number(rps, 6);
@@ -1356,7 +1369,7 @@ int CmdServeSim(const Flags& flags) {
     w.EndObject();
     std::printf("%s\n", w.Take().c_str());
   } else {
-    std::printf("serve-sim: %d workers, %d clients, %ld requests, %dx%d "
+    std::printf("serve-sim: %d workers, %d clients, %d requests, %dx%d "
                 "frames, budget %gms\n",
                 threads, clients, requests, s.width, s.height, budget_ms);
     std::printf("  throughput: %.1f req/s (%llu completed in %.3fs)\n", rps,
@@ -1462,13 +1475,10 @@ int CmdServeSim(const Flags& flags) {
 // the observability layer exports without standing up a full load run.
 int CmdMetrics(const Flags& flags) {
   Session s;
-  if (!OpenSession(flags, &s)) return 1;
+  if (const int rc = OpenSession(flags, "metrics", &s); rc != 0) return rc;
 
-  const long requests = flags.GetInt("requests", 8);
-  if (requests < 0) {
-    std::fprintf(stderr, "kdvtool metrics: --requests must be >= 0\n");
-    return 2;
-  }
+  int requests = 0;
+  if (!ParseCountFlag(flags, "metrics", "requests", 8, 0, &requests)) return 2;
   const double eps = GetValidatedDouble(flags, "eps", 0.05);
   const Status eps_status = ValidateEps(eps);
   if (!eps_status.ok()) {
@@ -1487,7 +1497,7 @@ int CmdMetrics(const Flags& flags) {
     service.SwapEvaluator(&evaluator);
     ServeRequestOptions request;
     request.eps = eps;
-    for (long i = 0; i < requests; ++i) {
+    for (int i = 0; i < requests; ++i) {
       StatusOr<std::future<ServeOutcome>> ticket =
           service.Submit(grid, request);
       if (!ticket.ok()) {
