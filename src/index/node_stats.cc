@@ -7,11 +7,18 @@
 
 namespace kdv {
 
-void NodeStats::Accumulate(const Point* points, size_t count, double* block) {
+namespace {
+
+// One body for both kinds of block. Without weights every weight is the
+// constant 1, which the compiler folds away, so tree records keep the
+// unweighted arithmetic bit for bit (and its speed).
+template <bool kWeighted>
+void AccumulateBlock(const Point* points, size_t count, const double* weights,
+                     double* block) {
   KDV_CHECK(count > 0);
   const int d = points[0].dim();
-  std::fill(block, block + BlockSize(d), 0.0);
-  block[0] = static_cast<double>(count);
+  std::fill(block, block + NodeStats::BlockSize(d), 0.0);
+  if constexpr (!kWeighted) block[0] = static_cast<double>(count);
   double* lo = block + 1;
   double* hi = lo + d;
   double* sum = hi + d;
@@ -25,18 +32,36 @@ void NodeStats::Accumulate(const Point* points, size_t count, double* block) {
   for (size_t i = 0; i < count; ++i) {
     const Point& p = points[i];
     KDV_DCHECK(p.dim() == d);
+    const double w = kWeighted ? weights[i] : 1.0;
+    if constexpr (kWeighted) {
+      KDV_DCHECK(w >= 0.0);
+      block[0] += w;
+    }
     double sq = p.SquaredNorm();
-    sum_sq_norm += sq;
-    sum_quartic_norm += sq * sq;
+    const double w_sq = w * sq;
+    sum_sq_norm += w_sq;
+    sum_quartic_norm += w_sq * sq;
     double* c_row = outer;
     for (int a = 0; a < d; ++a) {
       lo[a] = std::min(lo[a], p[a]);
       hi[a] = std::max(hi[a], p[a]);
-      sum[a] += p[a];
-      sum_sq_norm_p[a] += sq * p[a];
-      for (int b = a; b < d; ++b) c_row[b - a] += p[a] * p[b];
+      const double w_p = w * p[a];
+      sum[a] += w_p;
+      sum_sq_norm_p[a] += w_sq * p[a];
+      for (int b = a; b < d; ++b) c_row[b - a] += w_p * p[b];
       c_row += d - a;
     }
+  }
+}
+
+}  // namespace
+
+void NodeStats::Accumulate(const Point* points, size_t count, double* block,
+                           const double* weights) {
+  if (weights == nullptr) {
+    AccumulateBlock<false>(points, count, nullptr, block);
+  } else {
+    AccumulateBlock<true>(points, count, weights, block);
   }
 }
 

@@ -11,6 +11,13 @@
 //
 // All aggregates are accumulated once at index-build time, into the node's
 // record of the KdTree (index/kdtree.h); NodeStats is a view of that record.
+//
+// A block may also hold y-weighted aggregates (non-negative y_i): n becomes
+// Y = sum y_i and every sum gains a y_i factor, e.g. a_P = sum y_i p_i. The
+// identities above then give sum y_i dist^2 and sum y_i dist^4, so any
+// NodeStats consumer (bounds/node_bounds.h) bounds sum y_i K(q, p_i) from
+// the same formulas. Kernel regression (regress/) uses this for its
+// numerator.
 #ifndef QUADKDV_INDEX_NODE_STATS_H_
 #define QUADKDV_INDEX_NODE_STATS_H_
 
@@ -32,10 +39,10 @@ namespace kdv {
 //   [2+3d, 2+4d)             v_P
 //   [2+4d]                   h_P
 //   [3+4d, 3+4d+d(d+1)/2)    C, upper triangle row by row
-// C is symmetric and its two halves are bitwise equal (p[a]*p[b] and
-// p[b]*p[a] round identically and are summed in the same order), so the
-// triangle holds all of it. Trivially copyable; valid while the storage
-// (the KdTree) lives.
+// C is symmetric and, unweighted, its two halves are bitwise equal
+// (p[a]*p[b] and p[b]*p[a] round identically and are summed in the same
+// order), so the triangle holds all of it. Trivially copyable; valid while
+// the storage (the KdTree, or a weighted augmentation of it) lives.
 class NodeStats {
  public:
   NodeStats() = default;
@@ -49,10 +56,16 @@ class NodeStats {
 
   // Writes the aggregates of points[0, count) into block, which has
   // BlockSize(dim) doubles. dim is taken from the first point; count > 0.
-  static void Accumulate(const Point* points, size_t count, double* block);
+  // With `weights` (weights[i] >= 0 belongs to points[i]) the aggregates
+  // are y-weighted: n is the weight sum. The MBR spans every point either
+  // way.
+  static void Accumulate(const Point* points, size_t count, double* block,
+                         const double* weights = nullptr);
 
+  // The point count of an unweighted block.
   size_t count() const { return static_cast<size_t>(block_[0]); }
-  // count() as a double: the n of the bound formulas, stored in that form.
+  // The n of the bound formulas, stored as a double: the point count, or
+  // the weight sum Y of a weighted block.
   double n() const { return block_[0]; }
   int dim() const { return dim_; }
   RectView mbr() const {

@@ -38,8 +38,6 @@
 #include "obs/trace.h"
 #include "progressive/progressive.h"
 #include "regress/kernel_regressor.h"
-#include "regress/weighted_bounds.h"
-#include "regress/weighted_stats.h"
 #include "sampling/zorder.h"
 #include "serve/health.h"
 #include "serve/recovery_manager.h"

@@ -5,7 +5,6 @@
 #include <queue>
 #include <utility>
 
-#include "regress/weighted_bounds.h"
 #include "util/check.h"
 
 namespace kdv {
@@ -28,6 +27,26 @@ struct PriorityLess {
 
 }  // namespace
 
+WeightedAugmentation::WeightedAugmentation(
+    const KdTree& tree, const std::vector<double>& y_original)
+    : dim_(tree.dim()), block_size_(NodeStats::BlockSize(tree.dim())) {
+  KDV_CHECK_MSG(y_original.size() == tree.num_points(),
+                "one target per point required");
+  y_.resize(y_original.size());
+  for (size_t i = 0; i < y_.size(); ++i) {
+    double v = y_original[tree.original_index(i)];
+    KDV_CHECK_MSG(v >= 0.0, "regression targets must be non-negative");
+    y_[i] = v;
+  }
+  blocks_.resize(tree.num_nodes() * block_size_);
+  for (size_t id = 0; id < tree.num_nodes(); ++id) {
+    const KdTree::Node node = tree.node(static_cast<int32_t>(id));
+    NodeStats::Accumulate(tree.points().data() + node.begin, node.count(),
+                          blocks_.data() + id * block_size_,
+                          y_.data() + node.begin);
+  }
+}
+
 KernelRegressor::KernelRegressor(PointSet xs, std::vector<double> ys,
                                  const Options& options)
     : options_(options) {
@@ -42,9 +61,7 @@ KernelRegressor::KernelRegressor(PointSet xs, std::vector<double> ys,
   tree_options.leaf_size = options_.leaf_size;
   tree_ = std::make_unique<KdTree>(std::move(xs), tree_options);
   weights_ = std::make_unique<WeightedAugmentation>(*tree_, ys);
-  denom_bounds_ = MakeNodeBounds(
-      options_.method == Method::kExact ? Method::kExact : options_.method,
-      params_, options_.bounds);
+  bounds_ = MakeNodeBounds(options_.method, params_, options_.bounds);
 }
 
 double KernelRegressor::EstimateExact(const Point& q, bool* defined) const {
@@ -66,7 +83,7 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
   KDV_CHECK(eps >= 0.0);
   Result result;
 
-  if (options_.method == Method::kExact || denom_bounds_ == nullptr) {
+  if (bounds_ == nullptr) {
     bool defined = true;
     result.estimate = EstimateExact(q, &defined);
     result.lower = result.upper = result.estimate;
@@ -82,14 +99,16 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
   auto node_bounds = [&](int32_t id) {
     QueueEntry e;
     e.node = id;
-    const KdTree::Node node = tree_->node(id);
-    e.numer = EvaluateWeightedBounds(options_.method, params_,
-                                     node.stats.mbr(), weights_->node(id), q,
-                                     options_.bounds);
-    e.denom = denom_bounds_->Evaluate(node.stats, q);
+    const NodeStats denom_stats = tree_->node(id).stats;
+    const NodeStats numer_stats = weights_->node(id);
+    // A node whose targets are all 0 adds exactly 0 to N. The bound
+    // formulas divide by n (the tangent point is a mean over the node), so
+    // Y = 0 must not reach them.
+    if (numer_stats.n() > 0.0) e.numer = bounds_->Evaluate(numer_stats, q);
+    e.denom = bounds_->Evaluate(denom_stats, q);
     // Numerator and denominator gaps are commensurable after scaling the
     // denominator gap by the node's mean target value.
-    double mean_y = weights_->node(id).weight_sum() / node.stats.n();
+    double mean_y = numer_stats.n() / denom_stats.n();
     e.priority = (e.numer.upper - e.numer.lower) +
                  mean_y * (e.denom.upper - e.denom.lower);
     return e;

@@ -3,11 +3,13 @@
 //
 // The estimator at a query q is the ratio of two kernel aggregations,
 //   R(q) = N(q) / D(q),  N(q) = Σ y_i K(q, p_i),  D(q) = Σ K(q, p_i),
-// with non-negative targets y_i. One best-first refinement maintains
-// certified intervals on N and D simultaneously (numerator bounds from
-// regress/weighted_bounds.h, denominator bounds from bounds/node_bounds.h);
-// the ratio interval [lbN/ubD, ubN/lbD] tightens until the requested
-// relative error is certified — QUAD's tighter bounds certify earlier.
+// with non-negative targets y_i. N is D with every point weighted by its
+// target, so both are bounded by one NodeBounds object: D from the tree's
+// node records, N from y-weighted NodeStats blocks of the same nodes
+// (index/node_stats.h). One best-first refinement maintains certified
+// intervals on N and D simultaneously; the ratio interval [lbN/ubD, ubN/lbD]
+// tightens until the requested relative error is certified — QUAD's tighter
+// bounds certify earlier.
 #ifndef QUADKDV_REGRESS_KERNEL_REGRESSOR_H_
 #define QUADKDV_REGRESS_KERNEL_REGRESSOR_H_
 
@@ -17,10 +19,36 @@
 
 #include "bounds/node_bounds.h"
 #include "index/kdtree.h"
+#include "index/node_stats.h"
 #include "kernel/kernel.h"
-#include "regress/weighted_stats.h"
 
 namespace kdv {
+
+// Per-tree augmentation: a y-weighted NodeStats block for every node of an
+// existing KdTree, built from targets given in the *input* point order (the
+// tree's build permutation is applied internally).
+class WeightedAugmentation {
+ public:
+  // y_original.size() must equal tree.num_points(); all values >= 0.
+  WeightedAugmentation(const KdTree& tree,
+                       const std::vector<double>& y_original);
+
+  // Node `id`'s aggregates weighted by target: n() is Y = Σ y_i over the
+  // node's points, the MBR is the node's own.
+  NodeStats node(int32_t id) const {
+    return NodeStats(blocks_.data() + static_cast<size_t>(id) * block_size_,
+                     dim_);
+  }
+
+  // Targets in tree order: y_tree_order()[i] belongs to tree.points()[i].
+  const std::vector<double>& y_tree_order() const { return y_; }
+
+ private:
+  int dim_ = 0;
+  size_t block_size_ = 0;
+  std::vector<double> y_;
+  std::vector<double> blocks_;  // one NodeStats block per node, by node id
+};
 
 class KernelRegressor {
  public:
@@ -63,7 +91,9 @@ class KernelRegressor {
   std::unique_ptr<KdTree> tree_;
   std::unique_ptr<WeightedAugmentation> weights_;
   KernelParams params_;
-  std::unique_ptr<NodeBounds> denom_bounds_;  // null for Method::kExact
+  // Bounds N and D alike; null when the method has none for this kernel
+  // (kExact, kZorder, KARL off the Gaussian), and Estimate scans exactly.
+  std::unique_ptr<NodeBounds> bounds_;
 };
 
 }  // namespace kdv

@@ -93,17 +93,6 @@ Status FsyncParentDir(const std::string& path) {
   return status;
 }
 
-Status AtomicPublish(const std::string& temp_path,
-                     const std::string& final_path) {
-  int fd = ::open(temp_path.c_str(), O_RDONLY);
-  if (fd < 0) return NotFoundError(Errno("open of", temp_path));
-  Status status = FsyncFd(fd, temp_path);
-  ::close(fd);
-  if (!status.ok()) return status;
-  KDV_RETURN_IF_ERROR(RenameFile(temp_path, final_path));
-  return FsyncParentDir(final_path);
-}
-
 Status AtomicWriteFile(const std::string& path, const void* data,
                        size_t len) {
   const std::string temp = TempPathFor(path);

@@ -37,13 +37,6 @@ namespace kdv {
 Status AtomicWriteFile(const std::string& path, const void* data, size_t len);
 Status AtomicWriteFile(const std::string& path, const std::string& data);
 
-// Publishes an already-written temp file over `final_path`: fsync the temp,
-// rename it, fsync the directory. The temp must live in the same directory
-// (rename must not cross filesystems). For writers that stream to a temp
-// FILE* instead of staging in memory.
-Status AtomicPublish(const std::string& temp_path,
-                     const std::string& final_path);
-
 // fsyncs the directory containing `path`, making a completed rename/unlink
 // of `path` durable. Best effort on filesystems that refuse directory fds.
 Status FsyncParentDir(const std::string& path);

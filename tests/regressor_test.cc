@@ -1,28 +1,28 @@
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "index/kdtree.h"
+#include "index/node_stats.h"
 #include "regress/kernel_regressor.h"
-#include "regress/weighted_bounds.h"
-#include "regress/weighted_stats.h"
 #include "util/random.h"
 
 namespace kdv {
 namespace {
 
-// A one-leaf tree keeps `pts` in input order, so its root record holds the
-// aggregates of exactly these points.
-std::unique_ptr<KdTree> OneLeafTree(const PointSet& pts) {
-  KdTree::Options options;
-  options.leaf_size = pts.size();
-  return std::make_unique<KdTree>(pts, options);
+// The y-weighted aggregates of `pts`, in a block of their own.
+std::vector<double> WeightedBlock(const PointSet& pts,
+                                  const std::vector<double>& y) {
+  std::vector<double> block(NodeStats::BlockSize(pts[0].dim()));
+  NodeStats::Accumulate(pts.data(), pts.size(), block.data(), y.data());
+  return block;
 }
 
 // ---------------------------------------------------------------------------
-// WeightedNodeStats
+// Weighted NodeStats blocks
 // ---------------------------------------------------------------------------
 
 TEST(WeightedStatsTest, MatchesBruteForceWeightedSums) {
@@ -33,11 +33,11 @@ TEST(WeightedStatsTest, MatchesBruteForceWeightedSums) {
     pts.push_back(Point{rng.Uniform(-2, 2), rng.Uniform(-2, 2)});
     y.push_back(rng.Uniform(0.0, 5.0));
   }
-  WeightedNodeStats s = WeightedNodeStats::Compute(pts.data(), y.data(),
-                                                   pts.size());
+  const std::vector<double> block = WeightedBlock(pts, y);
+  NodeStats s(block.data(), 2);
   double y_sum = 0.0;
   for (double v : y) y_sum += v;
-  EXPECT_NEAR(s.weight_sum(), y_sum, 1e-10);
+  EXPECT_NEAR(s.n(), y_sum, 1e-10);
 
   for (int trial = 0; trial < 30; ++trial) {
     Point q{rng.Uniform(-3, 3), rng.Uniform(-3, 3)};
@@ -47,31 +47,47 @@ TEST(WeightedStatsTest, MatchesBruteForceWeightedSums) {
       brute_s1 += y[i] * d2;
       brute_s2 += y[i] * d2 * d2;
     }
-    EXPECT_NEAR(s.WeightedSumSquaredDistances(q), brute_s1,
+    EXPECT_NEAR(s.SumSquaredDistances(q), brute_s1,
                 1e-9 * std::max(1.0, brute_s1));
-    EXPECT_NEAR(s.WeightedSumQuarticDistances(q), brute_s2,
+    EXPECT_NEAR(s.SumQuarticDistances(q), brute_s2,
                 1e-9 * std::max(1.0, brute_s2));
   }
 }
 
+// Unit weights must reproduce every tree record bit for bit: the weighted
+// and unweighted accumulations are one body.
 TEST(WeightedStatsTest, UnitWeightsReduceToNodeStats) {
   Rng rng(2);
-  PointSet pts;
-  std::vector<double> ones;
-  for (int i = 0; i < 50; ++i) {
-    pts.push_back(Point{rng.NextDouble(), rng.NextDouble()});
-    ones.push_back(1.0);
+  for (int dim : {2, 5}) {
+    PointSet pts;
+    for (int i = 0; i < 50; ++i) {
+      Point p(dim);
+      for (int a = 0; a < dim; ++a) p[a] = rng.NextDouble();
+      pts.push_back(p);
+    }
+    KdTree::Options options;
+    options.leaf_size = 4;
+    KdTree tree(std::move(pts), options);
+    WeightedAugmentation aug(tree, std::vector<double>(50, 1.0));
+    ASSERT_GT(tree.num_nodes(), 1u);
+    for (size_t id = 0; id < tree.num_nodes(); ++id) {
+      SCOPED_TRACE(::testing::Message() << "dim " << dim << " node " << id);
+      const NodeStats s = tree.node(static_cast<int32_t>(id)).stats;
+      const NodeStats ws = aug.node(static_cast<int32_t>(id));
+      EXPECT_EQ(ws.n(), s.n());
+      EXPECT_EQ(ws.sum_sq_norm(), s.sum_sq_norm());
+      EXPECT_EQ(ws.sum_quartic_norm(), s.sum_quartic_norm());
+      for (int a = 0; a < dim; ++a) {
+        EXPECT_EQ(ws.mbr().lo(a), s.mbr().lo(a));
+        EXPECT_EQ(ws.mbr().hi(a), s.mbr().hi(a));
+        EXPECT_EQ(ws.sum()[a], s.sum()[a]);
+        EXPECT_EQ(ws.sum_sq_norm_p()[a], s.sum_sq_norm_p()[a]);
+        for (int b = 0; b < dim; ++b) {
+          EXPECT_EQ(ws.outer_product_sum(a, b), s.outer_product_sum(a, b));
+        }
+      }
+    }
   }
-  WeightedNodeStats ws =
-      WeightedNodeStats::Compute(pts.data(), ones.data(), pts.size());
-  auto tree = OneLeafTree(pts);
-  NodeStats s = tree->node(tree->root()).stats;
-  Point q{0.5, 0.5};
-  EXPECT_NEAR(ws.weight_sum(), static_cast<double>(s.count()), 1e-12);
-  EXPECT_NEAR(ws.WeightedSumSquaredDistances(q), s.SumSquaredDistances(q),
-              1e-9);
-  EXPECT_NEAR(ws.WeightedSumQuarticDistances(q), s.SumQuarticDistances(q),
-              1e-9);
 }
 
 TEST(WeightedAugmentationTest, AppliesTreePermutation) {
@@ -93,17 +109,21 @@ TEST(WeightedAugmentationTest, AppliesTreePermutation) {
   // Root weighted sum = Σ y.
   double total = 0.0;
   for (double v : y) total += v;
-  EXPECT_NEAR(aug.node(tree.root()).weight_sum(), total, 1e-9);
+  EXPECT_NEAR(aug.node(tree.root()).n(), total, 1e-9);
 }
 
 // ---------------------------------------------------------------------------
-// Weighted bounds: correctness for every method/kernel combination.
+// NodeBounds over weighted blocks: correctness for every method/kernel
+// combination the regressor bounds (MakeNodeBounds returns null for the
+// rest, and the regressor scans those exactly).
 // ---------------------------------------------------------------------------
 
 TEST(WeightedBoundsTest, BracketWeightedAggregate) {
   Rng rng(4);
-  for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular,
-                            KernelType::kCosine, KernelType::kExponential}) {
+  for (KernelType kernel :
+       {KernelType::kGaussian, KernelType::kTriangular, KernelType::kCosine,
+        KernelType::kExponential, KernelType::kEpanechnikov,
+        KernelType::kQuartic, KernelType::kUniform}) {
     for (Method method : {Method::kAkde, Method::kKarl, Method::kQuad}) {
       for (int trial = 0; trial < 150; ++trial) {
         PointSet pts;
@@ -116,10 +136,7 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
                               cy + rng.Uniform(-spread, spread)});
           y.push_back(rng.Uniform(0.0, 3.0));
         }
-        auto tree = OneLeafTree(pts);
-        NodeStats stats = tree->node(tree->root()).stats;
-        WeightedNodeStats wstats =
-            WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
+        const std::vector<double> block = WeightedBlock(pts, y);
 
         KernelParams params;
         params.type = kernel;
@@ -127,8 +144,9 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
         params.weight = 1.0;
 
         Point q{rng.Uniform(-2.5, 2.5), rng.Uniform(-2.5, 2.5)};
-        BoundPair b = EvaluateWeightedBounds(method, params, stats.mbr(),
-                                             wstats, q);
+        auto bounds = MakeNodeBounds(method, params);
+        if (bounds == nullptr) continue;  // KARL off the Gaussian
+        BoundPair b = bounds->Evaluate(NodeStats(block.data(), 2), q);
         double exact = 0.0;
         for (size_t i = 0; i < pts.size(); ++i) {
           exact +=
@@ -143,22 +161,6 @@ TEST(WeightedBoundsTest, BracketWeightedAggregate) {
       }
     }
   }
-}
-
-TEST(WeightedBoundsTest, ZeroWeightNodeIsExactZero) {
-  PointSet pts{Point{0.0, 0.0}, Point{1.0, 1.0}};
-  std::vector<double> y{0.0, 0.0};
-  auto tree = OneLeafTree(pts);
-  NodeStats stats = tree->node(tree->root()).stats;
-  WeightedNodeStats wstats =
-      WeightedNodeStats::Compute(pts.data(), y.data(), pts.size());
-  KernelParams params;
-  params.type = KernelType::kGaussian;
-  BoundPair b =
-      EvaluateWeightedBounds(Method::kQuad, params, stats.mbr(), wstats,
-                             Point{0.5, 0.5});
-  EXPECT_DOUBLE_EQ(b.lower, 0.0);
-  EXPECT_DOUBLE_EQ(b.upper, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -265,8 +267,10 @@ TEST(KernelRegressorTest, UndefinedOutsideFiniteSupport) {
 
 TEST(KernelRegressorTest, NonGaussianKernelsAgreeWithExact) {
   RegressionData data = MakeData(2000, 13);
-  for (KernelType kernel : {KernelType::kTriangular, KernelType::kCosine,
-                            KernelType::kExponential}) {
+  for (KernelType kernel :
+       {KernelType::kTriangular, KernelType::kCosine,
+        KernelType::kExponential, KernelType::kEpanechnikov,
+        KernelType::kQuartic, KernelType::kUniform}) {
     KernelRegressor::Options options;
     options.kernel = kernel;
     KernelRegressor reg(PointSet(data.xs), std::vector<double>(data.ys),
@@ -280,6 +284,36 @@ TEST(KernelRegressorTest, NonGaussianKernelsAgreeWithExact) {
       KernelRegressor::Result r = reg.Estimate(q, 0.01);
       EXPECT_NEAR(r.estimate, exact, 0.011 * std::max(exact, 1e-12))
           << KernelTypeName(kernel);
+    }
+  }
+}
+
+// Every node of an all-zero target field has Y = 0 and must add exactly 0
+// to N: the bound formulas divide by n, and 0/0 would poison the interval.
+TEST(KernelRegressorTest, AllZeroTargetsEstimateExactZero) {
+  RegressionData data = MakeData(500, 16);
+  // The bounds whose tangent point is a mean over the node.
+  const std::pair<KernelType, Method> kCases[] = {
+      {KernelType::kGaussian, Method::kKarl},
+      {KernelType::kGaussian, Method::kQuad},
+      {KernelType::kExponential, Method::kQuad}};
+  for (const auto& [kernel, method] : kCases) {
+    SCOPED_TRACE(::testing::Message() << KernelTypeName(kernel) << "/"
+                                      << MethodName(method));
+    KernelRegressor::Options options;
+    options.kernel = kernel;
+    options.method = method;
+    KernelRegressor reg(PointSet(data.xs),
+                        std::vector<double>(data.ys.size(), 0.0), options);
+    Rng rng(17);
+    for (int i = 0; i < 5; ++i) {
+      Point q{rng.NextDouble(), rng.NextDouble()};
+      KernelRegressor::Result r = reg.Estimate(q, 0.01);
+      EXPECT_TRUE(r.defined);
+      EXPECT_TRUE(r.converged);
+      EXPECT_EQ(r.lower, 0.0);
+      EXPECT_EQ(r.upper, 0.0);
+      EXPECT_EQ(r.estimate, 0.0);
     }
   }
 }

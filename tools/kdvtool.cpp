@@ -385,29 +385,42 @@ int CmdGenerate(const Flags& flags) {
 // Builds a kd-tree over the input and persists it (checksummed v2 format by
 // default; --format-version 1 writes the legacy layout).
 int CmdIndex(const Flags& flags) {
+  int leaf_size = 0;
+  int version = 0;
+  if (!ParseCountFlag(flags, "index", "leaf-size", 32, 1, &leaf_size) ||
+      !ParseCountFlag(flags, "index", "format-version",
+                      static_cast<int>(kKdTreeFormatVersion), 1, &version)) {
+    return 2;
+  }
   PointSet points;
   if (!LoadInput(flags, &points)) return 1;
   KdTree::Options tree_options;
-  int leaf_size = flags.GetInt("leaf-size", 32);
-  if (leaf_size < 1) {
-    std::fprintf(stderr, "kdvtool: --leaf-size must be >= 1\n");
-    return 1;
-  }
   tree_options.leaf_size = static_cast<size_t>(leaf_size);
   KdTree tree(std::move(points), tree_options);
 
   std::string out = flags.GetString("out", "index.kdv");
-  uint32_t version = static_cast<uint32_t>(
-      flags.GetInt("format-version", static_cast<int>(kKdTreeFormatVersion)));
-  Status status = SaveKdTree(tree, out, version);
+  Status status = SaveKdTree(tree, out, static_cast<uint32_t>(version));
   if (!status.ok()) {
     PrintStatus(status);
     return 1;
   }
-  std::printf("indexed %zu points (%zu nodes, depth %d) -> %s (format v%u)\n",
+  std::printf("indexed %zu points (%zu nodes, depth %d) -> %s (format v%d)\n",
               tree.num_points(), tree.num_nodes(), tree.Depth(), out.c_str(),
               version);
   return 0;
+}
+
+// Reads --width (default `default_width`) and --height (default 3/4 of the
+// width, at least 1). Returns false (after printing a usage error that names
+// the flag) when either is malformed or below 1.
+bool ParseResolution(const Flags& flags, const char* cmd, int default_width,
+                     int* width, int* height) {
+  if (!ParseCountFlag(flags, cmd, "width", default_width, 1, width)) {
+    return false;
+  }
+  const int default_height = static_cast<int>(
+      std::max<int64_t>(1, static_cast<int64_t>(*width) * 3 / 4));
+  return ParseCountFlag(flags, cmd, "height", default_height, 1, height);
 }
 
 struct Session {
@@ -421,11 +434,7 @@ struct Session {
 // 0 on success, 2 on a malformed resolution (a usage error), and 1 when the
 // input, kernel or method cannot be used.
 int OpenSession(const Flags& flags, const char* cmd, Session* session) {
-  if (!ParseCountFlag(flags, cmd, "width", 640, 1, &session->width)) return 2;
-  const int default_height =
-      static_cast<int>(static_cast<int64_t>(session->width) * 3 / 4);
-  if (!ParseCountFlag(flags, cmd, "height", default_height, 1,
-                      &session->height)) {
+  if (!ParseResolution(flags, cmd, 640, &session->width, &session->height)) {
     return 2;
   }
   PointSet points;
@@ -707,6 +716,9 @@ int CmdProgressive(const Flags& flags) {
 // label column (--label-col, default: last column); the remaining first two
 // numeric columns are the coordinates.
 int CmdClassify(const Flags& flags) {
+  int width = 0;
+  int height = 0;
+  if (!ParseResolution(flags, "classify", 320, &width, &height)) return 2;
   std::string in = flags.GetString("in", "");
   if (in.empty()) {
     std::fprintf(stderr, "kdvtool classify: --in FILE.csv required\n");
@@ -719,8 +731,12 @@ int CmdClassify(const Flags& flags) {
     return 1;
   }
   const int cols = rows[0].dim();
-  int label_col = flags.GetInt("label-col", cols - 1);
-  if (cols < 3 || label_col < 0 || label_col >= cols) {
+  int label_col = 0;
+  if (!ParseCountFlag(flags, "classify", "label-col", cols - 1, 0,
+                      &label_col)) {
+    return 2;
+  }
+  if (cols < 3 || label_col >= cols) {
     std::fprintf(stderr, "kdvtool classify: need x,y plus a label column\n");
     return 1;
   }
@@ -764,8 +780,6 @@ int CmdClassify(const Flags& flags) {
   }
   KdeClassifier classifier(std::move(classes), options);
 
-  int width = flags.GetInt("width", 320);
-  int height = flags.GetInt("height", width * 3 / 4);
   PixelGrid grid(width, height, domain);
   Image img(width, height);
   Timer timer;
@@ -790,6 +804,15 @@ int CmdClassify(const Flags& flags) {
 // Renders a Nadaraya–Watson regression field from a CSV with a non-negative
 // target column (--target-col, default: last column).
 int CmdRegress(const Flags& flags) {
+  int width = 0;
+  int height = 0;
+  if (!ParseResolution(flags, "regress", 320, &width, &height)) return 2;
+  const double eps = GetValidatedDouble(flags, "eps", 0.01);
+  const Status eps_status = ValidateEps(eps);
+  if (!eps_status.ok()) {
+    PrintStatus(eps_status);
+    return 1;
+  }
   std::string in = flags.GetString("in", "");
   if (in.empty()) {
     std::fprintf(stderr, "kdvtool regress: --in FILE.csv required\n");
@@ -802,8 +825,12 @@ int CmdRegress(const Flags& flags) {
     return 1;
   }
   const int cols = rows[0].dim();
-  int target_col = flags.GetInt("target-col", cols - 1);
-  if (cols < 3 || target_col < 0 || target_col >= cols) {
+  int target_col = 0;
+  if (!ParseCountFlag(flags, "regress", "target-col", cols - 1, 0,
+                      &target_col)) {
+    return 2;
+  }
+  if (cols < 3 || target_col >= cols) {
     std::fprintf(stderr, "kdvtool regress: need x,y plus a target column\n");
     return 1;
   }
@@ -838,9 +865,6 @@ int CmdRegress(const Flags& flags) {
   }
   KernelRegressor regressor(std::move(xs), std::move(ys), options);
 
-  int width = flags.GetInt("width", 320);
-  int height = flags.GetInt("height", width * 3 / 4);
-  double eps = flags.GetDouble("eps", 0.01);
   PixelGrid grid(width, height, domain);
   DensityFrame field(width, height);
   Timer timer;
