@@ -86,13 +86,11 @@ bool DecideTau(double lower, double upper, double tau, TileFrontier* tf) {
 }  // namespace
 
 TileRefiner::TileRefiner(const KdTree* tree, const KernelParams& params,
-                         const NodeBounds* bounds,
-                         const TileRefinerOptions& options)
-    : tree_(tree), params_(params), bounds_(bounds), options_(options) {
+                         const NodeBounds* bounds)
+    : tree_(tree), params_(params), bounds_(bounds) {
   KDV_CHECK(tree_ != nullptr);
   KDV_CHECK_MSG(bounds_ != nullptr,
                 "tile refinement requires a bound function (not EXACT)");
-  KDV_CHECK(options_.accept_fraction > 0.0 && options_.accept_fraction <= 1.0);
 }
 
 TileFrontier TileRefiner::BuildEps(const Rect& query_rect, double eps) const {
@@ -229,8 +227,8 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
       out.valid = true;
       return out;
     }
-    if (out.nodes_visited >= options_.max_nodes_visited) break;
-    if (heap.size() + deferred.size() >= options_.max_frontier) break;
+    if (out.nodes_visited >= kTileMaxNodesVisited) break;
+    if (heap.size() + deferred.size() >= kTileMaxFrontier) break;
 
     std::pop_heap(heap.begin(), heap.end(), GapLess());
     RegionEntry top = heap.back();
@@ -283,7 +281,7 @@ TileFrontier TileRefiner::Build(const Rect& query_rect, bool eps_mode,
   deferred.insert(deferred.end(), heap.begin(), heap.end());
   std::sort(deferred.begin(), deferred.end(), GapThenNode());
   const double budget =
-      eps_mode ? options_.accept_fraction * param * total_lower : 0.0;
+      eps_mode ? kTileAcceptFraction * param * total_lower : 0.0;
   double accepted_gap = 0.0;
   for (const RegionEntry& e : deferred) {
     if (e.gap <= 0.0 || accepted_gap + e.gap <= budget) {

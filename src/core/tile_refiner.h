@@ -35,8 +35,8 @@
 // rest form the quadrant's frontier; nothing is expanded. When all
 // quadrants settle τ the same way the tile is decided outright; a numeric
 // fault in any quadrant drops all four, and the tile frontier serves every
-// pixel. Work: max_nodes_visited caps the tile pass; the quadrant passes add
-// at most 4 × the tile frontier's size. εKDV gets no quadrants: its
+// pixel. Work: kTileMaxNodesVisited caps the tile pass; the quadrant passes
+// add at most 4 × the tile frontier's size. εKDV gets no quadrants: its
 // acceptance budget caps what smaller regions can settle, and ε values would
 // change bits (measurements: DESIGN.md §13).
 #ifndef QUADKDV_CORE_TILE_REFINER_H_
@@ -52,34 +52,33 @@
 
 namespace kdv {
 
-struct TileRefinerOptions {
-  // Cap on region bound evaluations per tile. Deliberately small: a region
-  // bound evaluation costs ~3x a point bound evaluation (rect-to-rect
-  // distances plus coefficient extremization), and measurements show its
-  // marginal value collapses quickly — past ~128 evaluations on a 16x16
-  // tile, each additional region evaluation settles so little slack that
-  // the per-pixel streams save fewer (cheaper) point evaluations than the
-  // region pass spends. Whole-tile decisions that happen at all happen
-  // early, well inside this budget.
-  uint32_t max_nodes_visited = 128;
-  // Cap on undecided nodes carried into the frontier. Frontier size costs
-  // pixels nothing up front (seeding is O(1) and nodes enter a stream's
-  // heap lazily, in region-gap order), so this is a memory/cache-footprint
-  // valve rather than a per-pixel cost knob; with the node budget above it
-  // rarely binds.
-  uint32_t max_frontier = 192;
-  // Fraction α of the ε gap budget the tile pass may spend on accepted
-  // nodes; the remainder is head-room for the per-pixel streams. Must be in
-  // (0, 1].
-  double accept_fraction = 0.5;
-};
+// Cap on region bound evaluations per tile. Deliberately small: a region
+// bound evaluation costs ~3x a point bound evaluation (rect-to-rect
+// distances plus coefficient extremization), and measurements show its
+// marginal value collapses quickly — past ~128 evaluations on a 16x16
+// tile, each additional region evaluation settles so little slack that
+// the per-pixel streams save fewer (cheaper) point evaluations than the
+// region pass spends. Whole-tile decisions that happen at all happen
+// early, well inside this budget.
+inline constexpr uint32_t kTileMaxNodesVisited = 128;
+// Cap on undecided nodes carried into the frontier. Frontier size costs
+// pixels nothing up front (seeding is O(1) and nodes enter a stream's
+// heap lazily, in region-gap order), so this is a memory/cache-footprint
+// valve rather than a per-pixel cost knob; with the node budget above it
+// rarely binds.
+inline constexpr uint32_t kTileMaxFrontier = 192;
+// Fraction α of the ε gap budget the tile pass may spend on accepted
+// nodes; the remainder is head-room for the per-pixel streams. Must be in
+// (0, 1].
+inline constexpr double kTileAcceptFraction = 0.5;
+static_assert(kTileAcceptFraction > 0.0 && kTileAcceptFraction <= 1.0);
 
 // Stateless over queries; one instance may be shared by concurrent workers
 // (same contract as KdeEvaluator). Non-owning pointers.
 class TileRefiner {
  public:
   TileRefiner(const KdTree* tree, const KernelParams& params,
-              const NodeBounds* bounds, const TileRefinerOptions& options = {});
+              const NodeBounds* bounds);
 
   // One region pass for an εKDV tile whose pixel centers all lie inside
   // `query_rect`. eps >= 0.
@@ -88,8 +87,6 @@ class TileRefiner {
   // One region pass for a τKDV tile, plus the quadrant passes when the tile
   // is left undecided (see above).
   TileFrontier BuildTau(const Rect& query_rect, double tau) const;
-
-  const TileRefinerOptions& options() const { return options_; }
 
  private:
   TileFrontier Build(const Rect& query_rect, bool eps_mode,
@@ -107,7 +104,6 @@ class TileRefiner {
   const KdTree* tree_;
   KernelParams params_;
   const NodeBounds* bounds_;
-  TileRefinerOptions options_;
 };
 
 }  // namespace kdv

@@ -31,7 +31,6 @@
 #include "index/manifest.h"
 #include "index/node_stats.h"
 #include "index/serialization.h"
-#include "kernel/bandwidth.h"
 #include "kernel/kernel.h"
 #include "obs/export.h"
 #include "obs/metrics.h"

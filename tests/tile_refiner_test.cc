@@ -16,6 +16,7 @@
 // rects and query samples, across every approximate method's bound class.
 #include "core/tile_refiner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -419,30 +420,37 @@ TEST(TileRefinerTest, QuadrantFaultFallsBackToTileFrontier) {
 }
 
 // An invalid frontier must never be produced silently decided, and the
-// refiner must stay within its configured visit budget.
+// refiner must stay within its visit and frontier caps. The tree must be
+// large enough for the visit cap to bind: TestDataset()'s default tree has
+// fewer than kTileMaxNodesVisited nodes.
 TEST(TileRefinerTest, RespectsVisitBudget) {
-  auto bench = MakeBench();
-  Rng rng(5);
-  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
-  TileRefinerOptions options;
-  options.max_nodes_visited = 64;
-  options.max_frontier = 16;
+  StatusOr<std::unique_ptr<Workbench>> bench =
+      Workbench::Create(TestDataset(20000), KernelType::kGaussian);
+  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  KdeEvaluator evaluator = (*bench)->MakeEvaluator(Method::kQuad);
+  ASSERT_GT(evaluator.tree().num_nodes(), 4 * kTileMaxNodesVisited);
   TileRefiner refiner(&evaluator.tree(), evaluator.params(),
-                      evaluator.bounds(), options);
+                      evaluator.bounds());
+  Rng rng(5);
+  uint64_t most_visits = 0;
   for (int trial = 0; trial < 10; ++trial) {
-    Rect rect = RandomQueryRect(&rng, bench->data_bounds());
+    Rect rect = RandomQueryRect(&rng, (*bench)->data_bounds());
     TileFrontier tf = refiner.BuildEps(rect, 0.05);
-    EXPECT_LE(tf.nodes_visited, 64u + 2u);  // one expansion may overshoot
-    EXPECT_LE(tf.nodes.size(), 16u + 2u);
+    // One expansion may overshoot the cap.
+    EXPECT_LE(tf.nodes_visited, kTileMaxNodesVisited + 2u);
+    EXPECT_LE(tf.nodes.size(), kTileMaxFrontier + 2u);
+    most_visits = std::max(most_visits, tf.nodes_visited);
     if (tf.valid && !tf.decided) {
       EXPECT_FALSE(tf.nodes.empty());
     }
     // τ: the quadrant passes add at most four region evaluations per node
     // of the tile frontier.
     TileFrontier tau_tf = refiner.BuildTau(rect, 0.3);
-    EXPECT_LE(tau_tf.nodes_visited, 64u + 2u + 4u * tau_tf.nodes.size());
-    EXPECT_LE(tau_tf.nodes.size(), 16u + 2u);
+    EXPECT_LE(tau_tf.nodes_visited,
+              kTileMaxNodesVisited + 2u + 4u * tau_tf.nodes.size());
+    EXPECT_LE(tau_tf.nodes.size(), kTileMaxFrontier + 2u);
   }
+  EXPECT_GE(most_visits, kTileMaxNodesVisited);  // the cap did bind
 }
 
 }  // namespace

@@ -1,38 +1,18 @@
 // kdvtool — command-line front end to the QUAD KDV library.
 //
-// Subcommands:
-//   generate    synthesize a dataset analogue and write it as CSV
-//   info        dataset summary (bounds, Scott bandwidth, index stats);
-//               with --index FILE, verify and summarize a saved index
-//   index       build a kd-tree index and persist it (checksummed v2)
-//   render      εKDV heat map -> PPM
-//   hotspot     τKDV two-color map -> PPM
-//   progressive anytime εKDV under a time budget -> PPM
-//   serve-sim   closed-loop load generator against the concurrent
-//               RenderService (throughput, latency percentiles, shed/
-//               degraded/retried counts; --json for machine-readable;
-//               --swap-after N hot-swaps the evaluator mid-run;
-//               --governor/--watchdog/--scrub arm the runtime
-//               self-defense layer: brownout under overload, wedged-
-//               render kills, online integrity scrubbing)
-//   metrics     run a small serve workload and dump the process metrics
-//               registry (Prometheus text, or --json for the escaped
-//               JSON snapshot; --metrics-out FILE writes the JSON form)
-//   sim         deterministic whole-stack simulation: virtual time, a
-//               cooperative scheduler, and seed-derived fault schedules
-//               drive the full serve+persistence stack under invariant
-//               checkers; failures shrink to a one-line repro
-//               (--seed, --seeds N, --until-failure, --replay S)
-//   recover     recover a crash-consistent state directory (or --bootstrap
-//               one from points); prints the recovery report
-//   checkpoint  fold the update journal into a fresh index generation
-//   version     print the build stamp (also: kdvtool --version)
+// Each subcommand declares the flags it accepts once, in Commands() at the
+// bottom of this file: name, kind, default, accepted range or choices, and
+// one line of help. Flags::Parse (util/flags.h) checks argv against that
+// declaration before any input is read, and the usage text (`kdvtool` with
+// no arguments, or any usage error) is printed from it.
 //
 // Every failure path exits non-zero with a printed reason; bad input (a
 // malformed CSV, a truncated index, a NaN flag value) must never abort.
-// Exit codes: 0 success (including a degraded budgeted render), 1 failure,
-// 2 usage error, 3 budget expired under `render --on-deadline=fail`.
-// README.md carries the per-subcommand exit-code table.
+// Exit codes: 0 success (including a degraded budgeted render), 1 failure
+// (including an invalid ε, τ or γ, which their validators reject by name),
+// 2 usage error (an unknown subcommand or flag, a positional argument, or a
+// malformed or out-of-range flag value), 3 budget expired under
+// `render --on-deadline=fail`. README.md carries the exit-code table.
 //
 // Examples:
 //   kdvtool generate --dataset crime --scale 0.05 --out crime.csv
@@ -43,19 +23,16 @@
 //   kdvtool progressive --in crime.csv --budget 0.5 --out partial.ppm
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <future>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "quadkdv.h"
@@ -64,79 +41,7 @@
 namespace {
 
 using namespace kdv;
-
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: kdvtool "
-      "<generate|info|index|render|hotspot|progressive|classify|regress"
-      "|serve-sim|metrics|sim|recover|checkpoint|version> [flags]\n"
-      "  common flags: --in FILE.csv | --dataset el_nino|crime|home|hep\n"
-      "                --scale S --kernel NAME --method quad|karl|akde|exact\n"
-      "                --width W --height H --out FILE\n"
-      "                --drop-bad (drop NaN/Inf rows instead of failing)\n"
-      "  info:         --index FILE.kdv (verify + summarize a saved index)\n"
-      "  index:        --out FILE.kdv [--format-version 1|2]\n"
-      "  render:       --eps E [--budget-ms MS --on-deadline degrade|fail]\n"
-      "                (degrade: ship best-effort frame, exit 0; fail: exit\n"
-      "                3 when the budget expires before certification)\n"
-      "                [--threads N (0 = hardware concurrency)\n"
-      "                 --tile-rows R (chunk edge: threads claim R x R pixel\n"
-      "                 chunks, then share their rows; default 16)\n"
-      "                 --tile-shared on|off (default on: amortize tree\n"
-      "                 traversal across chunk pixels; off is per-pixel\n"
-      "                 refinement, the bitwise oracle)\n"
-      "                 --json (machine-readable stats incl. pruning\n"
-      "                 counters and the active SIMD level; KDV_SIMD=\n"
-      "                 scalar|sse2|avx2 pins the leaf-kernel dispatch)]\n"
-      "  hotspot:      --tau T | --tau-sigma K (tau = mu + K*sigma)\n"
-      "                [--threads N --tile-rows R (chunk edge)\n"
-      "                 --tile-shared on|off (default on)]\n"
-      "  progressive:  --eps E --budget SECONDS\n"
-      "  classify:     --in FILE.csv --label-col I (x,y + integer labels)\n"
-      "  regress:      --in FILE.csv --target-col I (x,y + target >= 0)\n"
-      "  serve-sim:    --threads N (0 = hardware concurrency) --requests R\n"
-      "                --budget-ms MS\n"
-      "                [--clients C (default 4x threads) --queue Q\n"
-      "                 --frame-threads N (intra-frame tile workers)\n"
-      "                 --tile-rows R (chunk edge) --tile-shared on|off\n"
-      "                 (default on)\n"
-      "                 --eps E --on-deadline degrade|fail\n"
-      "                 --failpoints \"site=action;...\" --json\n"
-      "                 --swap-after N (hot-swap the evaluator after N\n"
-      "                 completed requests)\n"
-      "                 --governor (brownout under overload; tuning:\n"
-      "                 --mem-budget-mb MB --queue-wait-sat-ms MS)\n"
-      "                 --watchdog (force-cancel wedged renders; tuning:\n"
-      "                 --watchdog-multiple X --no-progress-ms MS)\n"
-      "                 --scrub (online integrity scrubber; tuning:\n"
-      "                 --scrub-interval-ms MS --scrub-samples N\n"
-      "                 --scrub-index FILE.kdv); exits 1 on any scrubber\n"
-      "                 mismatch]\n"
-      "                [--seed S (client backoff jitter base, stamped into\n"
-      "                 the JSON report with the build id)]\n"
-      "                [--metrics-out FILE (write the process metrics\n"
-      "                 registry as JSON; also on render and metrics)]\n"
-      "  metrics:      run a small serve workload, then dump the process\n"
-      "                metrics registry (Prometheus text; --json for the\n"
-      "                JSON snapshot) [--requests N --eps E\n"
-      "                --metrics-out FILE]\n"
-      "  sim:          deterministic simulation of the whole serve stack\n"
-      "                --seed S | --seeds N (sweep S..S+N-1)\n"
-      "                | --until-failure (sweep until an invariant breaks)\n"
-      "                | --replay S (run S twice; byte-identical event\n"
-      "                logs or exit 1)\n"
-      "                [--schedule \"at_op:site=action;...\" (replaces the\n"
-      "                 seed-derived fault schedule; repro lines use this)\n"
-      "                 --ops N --workers N --queue N --n N\n"
-      "                 --state-root DIR --faults=0 --plant-bug --json]\n"
-      "                failing runs shrink their schedule and print a\n"
-      "                one-line repro; exit 1\n"
-      "  recover:      --state DIR [--csv FILE.csv (rebuild fallback)]\n"
-      "                [--bootstrap (initialize DIR from --in/--dataset)]\n"
-      "  checkpoint:   --state DIR [--csv FILE.csv]\n");
-  return 2;
-}
+using F = FlagSpec;
 
 // Prints a Status as "kdvtool: CODE: message".
 void PrintStatus(const Status& status) {
@@ -147,7 +52,7 @@ void PrintStatus(const Status& status) {
 // FILE (atomic write, so a crash never leaves a torn artifact). Shared by
 // render, serve-sim, and metrics. Returns 1 on write failure, else 0.
 int MaybeWriteMetricsOut(const Flags& flags) {
-  const std::string path = flags.GetString("metrics-out", "");
+  const std::string& path = flags.String("metrics-out");
   if (path.empty()) return 0;
   const Status written = AtomicWriteFile(
       path, obs::ExportJson(obs::MetricsRegistry::Global().Snapshot()));
@@ -156,105 +61,6 @@ int MaybeWriteMetricsOut(const Flags& flags) {
     return 1;
   }
   return 0;
-}
-
-// Numeric accessor for validated query parameters (ε, τ, γ, budgets).
-// Flags::GetDouble silently substitutes the default for malformed or
-// non-finite text; here a present-but-unusable value parses to NaN instead,
-// so the downstream Validate*() check rejects it by name.
-double GetValidatedDouble(const Flags& flags, const std::string& name,
-                          double default_value) {
-  if (!flags.Has(name)) return default_value;
-  const std::string raw = flags.GetString(name, "");
-  char* end = nullptr;
-  double v = std::strtod(raw.c_str(), &end);
-  if (raw.empty() || end == raw.c_str() || *end != '\0') {
-    return std::numeric_limits<double>::quiet_NaN();
-  }
-  return v;  // may be NaN/Inf from the text itself; validation decides
-}
-
-// Strict integer accessor for count-like flags (--threads, --tile-rows).
-// Flags::GetInt silently substitutes the default for malformed text; here a
-// present-but-unusable value parses to INT_MIN so the caller rejects it by
-// name with a usage error instead of silently running with the default.
-int GetValidatedInt(const Flags& flags, const std::string& name,
-                    int default_value) {
-  if (!flags.Has(name)) return default_value;
-  const std::string raw = flags.GetString(name, "");
-  char* end = nullptr;
-  long v = std::strtol(raw.c_str(), &end, 10);
-  if (raw.empty() || end == raw.c_str() || *end != '\0' ||
-      v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    return std::numeric_limits<int>::min();
-  }
-  return static_cast<int>(v);
-}
-
-// Reads a count flag through GetValidatedInt. Returns false (after printing
-// a usage error that names the flag) when the value is malformed or below
-// `min`.
-bool ParseCountFlag(const Flags& flags, const char* cmd, const char* name,
-                    int default_value, int min, int* out) {
-  *out = GetValidatedInt(flags, name, default_value);
-  if (*out >= min) return true;
-  std::fprintf(stderr, "kdvtool %s: --%s must be an integer >= %d\n", cmd,
-               name, min);
-  return false;
-}
-
-// Strict uint64 accessor for seed flags. Seeds span the full 64-bit space,
-// which Flags::GetInt would truncate; malformed text fails parsing so the
-// caller can reject it by name instead of silently simulating the default.
-bool GetSeedFlag(const Flags& flags, const std::string& name,
-                 uint64_t default_value, uint64_t* out) {
-  *out = default_value;
-  if (!flags.Has(name)) return true;
-  const std::string raw = flags.GetString(name, "");
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long v = std::strtoull(raw.c_str(), &end, 0);
-  if (raw.empty() || end == raw.c_str() || *end != '\0' || errno == ERANGE) {
-    return false;
-  }
-  *out = static_cast<uint64_t>(v);
-  return true;
-}
-
-// Parses --threads (0 = hardware concurrency) and --tile-rows for the
-// intra-frame parallel renderer. Returns false (after printing a usage
-// error) on malformed or out-of-range values.
-bool ParseFrameThreads(const Flags& flags, const char* cmd, int* threads,
-                       int* tile_rows) {
-  *threads = GetValidatedInt(flags, "threads", 1);
-  if (*threads < 0) {
-    std::fprintf(stderr,
-                 "kdvtool %s: --threads must be an integer >= 0 "
-                 "(0 = hardware concurrency)\n",
-                 cmd);
-    return false;
-  }
-  return ParseCountFlag(flags, cmd, "tile-rows", 16, 1, tile_rows);
-}
-
-// Parses --tile-shared=on|off (default on, as serving runs): shared-
-// traversal tile refinement for the frame renderers. off is per-pixel
-// refinement, the bitwise oracle. Returns false (after printing a usage
-// error) on any other value.
-bool ParseTileShared(const Flags& flags, const char* cmd, bool* tile_shared) {
-  const std::string v = flags.GetString("tile-shared", "on");
-  if (v == "on") {
-    *tile_shared = true;
-    return true;
-  }
-  if (v == "off") {
-    *tile_shared = false;
-    return true;
-  }
-  std::fprintf(stderr, "kdvtool %s: --tile-shared must be 'on' or 'off'\n",
-               cmd);
-  return false;
 }
 
 // Helper pool for an intra-frame parallel render: resolved - 1 workers (the
@@ -268,58 +74,86 @@ std::unique_ptr<ThreadPool> MakeTilePool(int threads) {
   return std::make_unique<ThreadPool>(options);
 }
 
-bool ParseKernel(const std::string& name, KernelType* out) {
-  const KernelType all[] = {
-      KernelType::kGaussian,     KernelType::kTriangular,
-      KernelType::kCosine,       KernelType::kExponential,
-      KernelType::kEpanechnikov, KernelType::kQuartic,
-      KernelType::kUniform,
-  };
-  for (KernelType k : all) {
-    if (name == KernelTypeName(k)) {
-      *out = k;
-      return true;
-    }
-  }
-  return false;
+// The values of the choice flags --kernel, --method and --dataset.
+const std::pair<const char*, KernelType> kKernels[] = {
+    {"gaussian", KernelType::kGaussian},
+    {"triangular", KernelType::kTriangular},
+    {"cosine", KernelType::kCosine},
+    {"exponential", KernelType::kExponential},
+    {"epanechnikov", KernelType::kEpanechnikov},
+    {"quartic", KernelType::kQuartic},
+    {"uniform", KernelType::kUniform}};
+const std::pair<const char*, Method> kMethods[] = {
+    {"quad", Method::kQuad}, {"karl", Method::kKarl}, {"akde", Method::kAkde},
+    {"tkdc", Method::kTkdc}, {"exact", Method::kExact}};
+const std::pair<const char*, MixtureSpec (*)(double)> kDatasets[] = {
+    {"el_nino", ElNinoSpec}, {"crime", CrimeSpec}, {"home", HomeSpec},
+    {"hep", HepSpec}};
+
+// A choice table's names, '|'-separated, for its flag declaration.
+template <typename Table>
+std::string Names(const Table& table) {
+  std::string names;
+  for (const auto& [name, value] : table) names += "|" + std::string(name);
+  return names.substr(1);
 }
 
-bool ParseMethod(const std::string& name, Method* out) {
-  if (name == "quad") {
-    *out = Method::kQuad;
-  } else if (name == "karl") {
-    *out = Method::kKarl;
-  } else if (name == "akde") {
-    *out = Method::kAkde;
-  } else if (name == "tkdc") {
-    *out = Method::kTkdc;
-  } else if (name == "exact") {
-    *out = Method::kExact;
-  } else {
-    return false;
+// The value a choice flag selects; the parser admits only the table's names.
+template <typename Table>
+auto Chosen(const Table& table, const std::string& name) {
+  for (const auto& [n, value] : table) {
+    if (name == n) return value;
   }
-  return true;
+  KDV_CHECK_MSG(false, "choice flag value missing from its table");
+  return table[0].second;
 }
 
-bool MakeSpec(const std::string& name, double scale, MixtureSpec* spec) {
-  if (name == "el_nino") {
-    *spec = ElNinoSpec(scale);
-  } else if (name == "crime") {
-    *spec = CrimeSpec(scale);
-  } else if (name == "home") {
-    *spec = HomeSpec(scale);
-  } else if (name == "hep") {
-    *spec = HepSpec(scale);
-  } else {
-    return false;
+// Reads --method and --kernel. Returns false, after printing why, when the
+// method has no bound function for the kernel (paper Table 6: KARL bounds
+// only the Gaussian), so no command silently falls back to an exact scan.
+bool ReadModel(const Flags& flags, Method* method, KernelType* kernel) {
+  *method = Chosen(kMethods, flags.String("method"));
+  *kernel = Chosen(kKernels, flags.String("kernel"));
+  KernelParams params;
+  params.type = *kernel;
+  const bool bounded =
+      *method == Method::kExact || MakeNodeBounds(*method, params) != nullptr;
+  if (!bounded) {
+    std::fprintf(stderr, "kdvtool: method does not support this kernel\n");
   }
-  return true;
+  return bounded;
+}
+
+// --height, by default 3/4 of --width but at least 1.
+int HeightFlag(const Flags& flags) {
+  if (flags.Has("height")) return flags.Int("height");
+  return static_cast<int>(
+      std::max<int64_t>(1, static_cast<int64_t>(flags.Int("width")) * 3 / 4));
+}
+
+// Reads --eps. Returns false after printing ValidateEps' INVALID_ARGUMENT
+// (exit 1, like an invalid τ or γ) when it is malformed or not positive.
+bool ReadEps(const Flags& flags, double* eps) {
+  *eps = flags.Double("eps");
+  const Status status = ValidateEps(*eps);
+  if (!status.ok()) PrintStatus(status);
+  return status.ok();
+}
+
+// --threads, --tile-rows and --tile-shared (on: shared-traversal tile
+// refinement; off: per-pixel refinement, the bitwise oracle).
+RenderOptions RenderOptionsFromFlags(const Flags& flags) {
+  RenderOptions options;
+  options.num_threads = flags.Int("threads");
+  options.tile_rows = flags.Int("tile-rows");
+  options.tile_shared = flags.String("tile-shared") == "on";
+  return options;
 }
 
 // Ingestion policy from flags: --drop-bad switches from reject to drop.
 ValidateOptions ValidateOptionsFromFlags(const Flags& flags) {
   ValidateOptions options;
-  if (flags.GetBool("drop-bad", false)) {
+  if (flags.Bool("drop-bad")) {
     options.policy = ValidateOptions::BadPointPolicy::kDrop;
   }
   return options;
@@ -327,7 +161,7 @@ ValidateOptions ValidateOptionsFromFlags(const Flags& flags) {
 
 // Loads the input dataset from --in CSV or synthesizes from --dataset.
 bool LoadInput(const Flags& flags, PointSet* points) {
-  std::string in = flags.GetString("in", "");
+  const std::string& in = flags.String("in");
   if (!in.empty()) {
     CsvReadStats csv_stats;
     Status status = LoadPointsCsv(in, {}, points, &csv_stats);
@@ -359,20 +193,15 @@ bool LoadInput(const Flags& flags, PointSet* points) {
     }
     return true;
   }
-  MixtureSpec spec;
-  if (!MakeSpec(flags.GetString("dataset", "crime"),
-                flags.GetDouble("scale", 0.01), &spec)) {
-    std::fprintf(stderr, "kdvtool: unknown --dataset\n");
-    return false;
-  }
-  *points = GenerateMixture(spec);
+  *points = GenerateMixture(
+      Chosen(kDatasets, flags.String("dataset"))(flags.Double("scale")));
   return true;
 }
 
 int CmdGenerate(const Flags& flags) {
   PointSet points;
   if (!LoadInput(flags, &points)) return 1;
-  std::string out = flags.GetString("out", "points.csv");
+  const std::string& out = flags.String("out");
   Status status = SavePointsCsv(out, points);
   if (!status.ok()) {
     PrintStatus(status);
@@ -385,20 +214,14 @@ int CmdGenerate(const Flags& flags) {
 // Builds a kd-tree over the input and persists it (checksummed v2 format by
 // default; --format-version 1 writes the legacy layout).
 int CmdIndex(const Flags& flags) {
-  int leaf_size = 0;
-  int version = 0;
-  if (!ParseCountFlag(flags, "index", "leaf-size", 32, 1, &leaf_size) ||
-      !ParseCountFlag(flags, "index", "format-version",
-                      static_cast<int>(kKdTreeFormatVersion), 1, &version)) {
-    return 2;
-  }
   PointSet points;
   if (!LoadInput(flags, &points)) return 1;
   KdTree::Options tree_options;
-  tree_options.leaf_size = static_cast<size_t>(leaf_size);
+  tree_options.leaf_size = static_cast<size_t>(flags.Int("leaf-size"));
   KdTree tree(std::move(points), tree_options);
 
-  std::string out = flags.GetString("out", "index.kdv");
+  const std::string& out = flags.String("out");
+  const int version = flags.Int("format-version");
   Status status = SaveKdTree(tree, out, static_cast<uint32_t>(version));
   if (!status.ok()) {
     PrintStatus(status);
@@ -410,19 +233,6 @@ int CmdIndex(const Flags& flags) {
   return 0;
 }
 
-// Reads --width (default `default_width`) and --height (default 3/4 of the
-// width, at least 1). Returns false (after printing a usage error that names
-// the flag) when either is malformed or below 1.
-bool ParseResolution(const Flags& flags, const char* cmd, int default_width,
-                     int* width, int* height) {
-  if (!ParseCountFlag(flags, cmd, "width", default_width, 1, width)) {
-    return false;
-  }
-  const int default_height = static_cast<int>(
-      std::max<int64_t>(1, static_cast<int64_t>(*width) * 3 / 4));
-  return ParseCountFlag(flags, cmd, "height", default_height, 1, height);
-}
-
 struct Session {
   std::unique_ptr<Workbench> bench;
   Method method = Method::kQuad;
@@ -430,48 +240,35 @@ struct Session {
   int height = 480;
 };
 
-// Reads --width/--height, loads the input and builds the workbench. Returns
-// 0 on success, 2 on a malformed resolution (a usage error), and 1 when the
-// input, kernel or method cannot be used.
-int OpenSession(const Flags& flags, const char* cmd, Session* session) {
-  if (!ParseResolution(flags, cmd, 640, &session->width, &session->height)) {
-    return 2;
-  }
-  PointSet points;
-  if (!LoadInput(flags, &points)) return 1;
-
+// Reads the resolution and model flags, loads the input and builds the
+// workbench. Returns false, after printing why, when the input, kernel,
+// method or γ cannot be used.
+bool OpenSession(const Flags& flags, Session* session) {
+  session->width = flags.Int("width");
+  session->height = HeightFlag(flags);
   KernelType kernel = KernelType::kGaussian;
-  if (!ParseKernel(flags.GetString("kernel", "gaussian"), &kernel)) {
-    std::fprintf(stderr, "kdvtool: unknown --kernel\n");
-    return 1;
-  }
-  if (!ParseMethod(flags.GetString("method", "quad"), &session->method)) {
-    std::fprintf(stderr, "kdvtool: unknown --method\n");
-    return 1;
-  }
+  if (!ReadModel(flags, &session->method, &kernel)) return false;
+  PointSet points;
+  if (!LoadInput(flags, &points)) return false;
+
   Workbench::Options options;
-  options.gamma_override = GetValidatedDouble(flags, "gamma", -1.0);
+  options.gamma_override = flags.Double("gamma");
   options.validate = ValidateOptionsFromFlags(flags);
   StatusOr<std::unique_ptr<Workbench>> bench =
       Workbench::Create(std::move(points), kernel, options);
   if (!bench.ok()) {
     PrintStatus(bench.status());
-    return 1;
+    return false;
   }
   session->bench = *std::move(bench);
-  if (session->method != Method::kExact &&
-      !session->bench->Supports(session->method)) {
-    std::fprintf(stderr, "kdvtool: method does not support this kernel\n");
-    return 1;
-  }
-  return 0;
+  return true;
 }
 
 int CmdInfo(const Flags& flags) {
   std::printf("build:        %s\n", BuildStamp().c_str());
   // --index FILE: verify and summarize a persisted index instead of
   // building one from points.
-  std::string index_path = flags.GetString("index", "");
+  const std::string& index_path = flags.String("index");
   if (!index_path.empty()) {
     StatusOr<std::unique_ptr<KdTree>> tree = LoadKdTree(index_path);
     if (!tree.ok()) {
@@ -486,7 +283,7 @@ int CmdInfo(const Flags& flags) {
     return 0;
   }
   Session s;
-  if (const int rc = OpenSession(flags, "info", &s); rc != 0) return rc;
+  if (!OpenSession(flags, &s)) return 1;
   const Workbench& b = *s.bench;
   std::printf("points:       %zu (dim %d)\n", b.num_points(), b.tree().dim());
   std::printf("bounds:       [%g, %g] x [%g, %g]\n", b.data_bounds().lo(0),
@@ -502,35 +299,21 @@ int CmdInfo(const Flags& flags) {
 
 // Budgeted render path: QUAD under --budget-ms with the degradation ladder
 // (or fail-fast with exit code 3 under --on-deadline=fail).
-int CmdRenderBudgeted(const Flags& flags, Session* s, double eps, int threads,
-                      int tile_rows, bool tile_shared) {
-  std::string on_deadline = flags.GetString("on-deadline", "degrade");
-  if (on_deadline != "degrade" && on_deadline != "fail") {
-    std::fprintf(stderr,
-                 "kdvtool: --on-deadline must be 'degrade' or 'fail'\n");
-    return 2;
-  }
-  double budget_ms = GetValidatedDouble(flags, "budget-ms", -1.0);
-  if (!(budget_ms >= 0.0)) {  // also catches NaN
-    std::fprintf(stderr, "kdvtool: --budget-ms must be >= 0\n");
-    return 2;
-  }
-
+int CmdRenderBudgeted(const Flags& flags, Session* s, double eps) {
+  const double budget_ms = flags.Double("budget-ms");
   KdeEvaluator evaluator = s->bench->MakeEvaluator(s->method);
   PixelGrid grid(s->width, s->height, s->bench->data_bounds());
   ResilientRenderOptions options;
   options.eps = eps;
   options.budget_seconds = budget_ms / 1000.0;
-  options.degrade = on_deadline == "degrade";
-  options.parallel.num_threads = threads;
-  options.parallel.tile_rows = tile_rows;
-  options.parallel.tile_shared = tile_shared;
-  std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
+  options.degrade = flags.String("on-deadline") == "degrade";
+  options.parallel = RenderOptionsFromFlags(flags);
+  std::unique_ptr<ThreadPool> pool = MakeTilePool(options.parallel.num_threads);
   options.tile_pool = pool.get();
   ResilientRenderer renderer(&evaluator);
   RenderOutcome outcome = renderer.Render(grid, options);
 
-  std::string out = flags.GetString("out", "kdv.ppm");
+  const std::string& out = flags.String("out");
   if (!RenderHeatMap(outcome.frame).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
@@ -551,29 +334,15 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps, int threads,
 
 int CmdRender(const Flags& flags) {
   Session s;
-  if (const int rc = OpenSession(flags, "render", &s); rc != 0) return rc;
-  double eps = GetValidatedDouble(flags, "eps", 0.01);
-  Status eps_status = ValidateEps(eps);
-  if (!eps_status.ok()) {
-    PrintStatus(eps_status);
-    return 1;
-  }
-  int threads = 1;
-  int tile_rows = 16;
-  if (!ParseFrameThreads(flags, "render", &threads, &tile_rows)) return 2;
-  bool tile_shared = true;
-  if (!ParseTileShared(flags, "render", &tile_shared)) return 2;
-  if (flags.Has("budget-ms")) {
-    return CmdRenderBudgeted(flags, &s, eps, threads, tile_rows, tile_shared);
-  }
+  if (!OpenSession(flags, &s)) return 1;
+  double eps = 0.0;
+  if (!ReadEps(flags, &eps)) return 1;
+  if (flags.Has("budget-ms")) return CmdRenderBudgeted(flags, &s, eps);
 
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
-  std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
-  RenderOptions ropts;
-  ropts.num_threads = threads;
-  ropts.tile_rows = tile_rows;
-  ropts.tile_shared = tile_shared;
+  const RenderOptions ropts = RenderOptionsFromFlags(flags);
+  std::unique_ptr<ThreadPool> pool = MakeTilePool(ropts.num_threads);
   BatchStats stats;
   DensityFrame frame = RenderEpsFrameParallel(
       evaluator, grid, eps, ropts, pool.get(), QueryControl(), &stats);
@@ -581,12 +350,12 @@ int CmdRender(const Flags& flags) {
     PrintStatus(stats.status);
     return 1;
   }
-  std::string out = flags.GetString("out", "kdv.ppm");
+  const std::string& out = flags.String("out");
   if (!RenderHeatMap(frame).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
   }
-  if (flags.GetBool("json", false)) {
+  if (flags.Bool("json")) {
     const double px_per_sec =
         stats.seconds > 0.0
             ? static_cast<double>(grid.num_pixels()) / stats.seconds
@@ -597,8 +366,8 @@ int CmdRender(const Flags& flags) {
         .Key("eps").Number(eps, 6)
         .Key("width").Value(s.width)
         .Key("height").Value(s.height)
-        .Key("threads").Value(ResolveRenderThreads(threads))
-        .Key("tile_shared").Value(tile_shared)
+        .Key("threads").Value(ResolveRenderThreads(ropts.num_threads))
+        .Key("tile_shared").Value(ropts.tile_shared)
         .Key("simd").Value(SimdLevelName(ActiveSimdLevel()))
         .Key("seconds").Number(stats.seconds, 6)
         .Key("pixels_per_sec").Number(px_per_sec, 8);
@@ -621,8 +390,9 @@ int CmdRender(const Flags& flags) {
     std::printf("%s\n", w.Take().c_str());
   } else {
     std::printf("εKDV (%s, eps=%g, threads=%d%s): %dx%d in %.3fs -> %s\n",
-                MethodName(s.method), eps, ResolveRenderThreads(threads),
-                tile_shared ? ", tile-shared" : "", s.width, s.height,
+                MethodName(s.method), eps,
+                ResolveRenderThreads(ropts.num_threads),
+                ropts.tile_shared ? ", tile-shared" : "", s.width, s.height,
                 stats.seconds, out.c_str());
   }
   return MaybeWriteMetricsOut(flags);
@@ -630,14 +400,14 @@ int CmdRender(const Flags& flags) {
 
 int CmdHotspot(const Flags& flags) {
   Session s;
-  if (const int rc = OpenSession(flags, "hotspot", &s); rc != 0) return rc;
+  if (!OpenSession(flags, &s)) return 1;
   KdeEvaluator evaluator = s.bench->MakeEvaluator(
       s.method == Method::kQuad ? Method::kQuad : s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
 
   double tau;
   if (flags.Has("tau")) {
-    tau = GetValidatedDouble(flags, "tau", 0.0);
+    tau = flags.Double("tau");
     Status tau_status = ValidateTau(tau);
     if (!tau_status.ok()) {
       PrintStatus(tau_status);
@@ -645,20 +415,12 @@ int CmdHotspot(const Flags& flags) {
     }
   } else {
     MeanStd stats = EstimateDensityStats(evaluator, grid, /*stride=*/8);
-    tau = stats.mean + flags.GetDouble("tau-sigma", 0.0) * stats.stddev;
+    tau = stats.mean + flags.Double("tau-sigma") * stats.stddev;
     std::printf("tau = %g (mu=%g, sigma=%g)\n", tau, stats.mean,
                 stats.stddev);
   }
-  int threads = 1;
-  int tile_rows = 16;
-  if (!ParseFrameThreads(flags, "hotspot", &threads, &tile_rows)) return 2;
-  bool tile_shared = true;
-  if (!ParseTileShared(flags, "hotspot", &tile_shared)) return 2;
-  std::unique_ptr<ThreadPool> pool = MakeTilePool(threads);
-  RenderOptions ropts;
-  ropts.num_threads = threads;
-  ropts.tile_rows = tile_rows;
-  ropts.tile_shared = tile_shared;
+  const RenderOptions ropts = RenderOptionsFromFlags(flags);
+  std::unique_ptr<ThreadPool> pool = MakeTilePool(ropts.num_threads);
   BatchStats stats;
   BinaryFrame mask = RenderTauFrameParallel(evaluator, grid, tau, ropts,
                                             pool.get(), QueryControl(), &stats);
@@ -666,7 +428,7 @@ int CmdHotspot(const Flags& flags) {
     PrintStatus(stats.status);
     return 1;
   }
-  std::string out = flags.GetString("out", "hotspots.ppm");
+  const std::string& out = flags.String("out");
   if (!RenderThresholdMap(mask).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
@@ -683,14 +445,10 @@ int CmdHotspot(const Flags& flags) {
 
 int CmdProgressive(const Flags& flags) {
   Session s;
-  if (const int rc = OpenSession(flags, "progressive", &s); rc != 0) return rc;
-  double eps = GetValidatedDouble(flags, "eps", 0.01);
-  Status eps_status = ValidateEps(eps);
-  if (!eps_status.ok()) {
-    PrintStatus(eps_status);
-    return 1;
-  }
-  double budget = flags.GetDouble("budget", 0.5);
+  if (!OpenSession(flags, &s)) return 1;
+  double eps = 0.0;
+  if (!ReadEps(flags, &eps)) return 1;
+  const double budget = flags.Double("budget");
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
   ProgressiveResult r = RenderProgressive(evaluator, grid, eps, budget);
@@ -698,7 +456,7 @@ int CmdProgressive(const Flags& flags) {
     PrintStatus(r.status);
     return 1;
   }
-  std::string out = flags.GetString("out", "progressive.ppm");
+  const std::string& out = flags.String("out");
   if (!RenderHeatMap(r.frame).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
@@ -711,55 +469,71 @@ int CmdProgressive(const Flags& flags) {
   return 0;
 }
 
-// Renders a kernel-density-classification map: each pixel colored by the
-// class with the highest class-conditional density. Input CSV must carry a
-// label column (--label-col, default: last column); the remaining first two
-// numeric columns are the coordinates.
-int CmdClassify(const Flags& flags) {
-  int width = 0;
-  int height = 0;
-  if (!ParseResolution(flags, "classify", 320, &width, &height)) return 2;
-  std::string in = flags.GetString("in", "");
+// Reads --in as rows of x, y and one value column (--`col_flag`, default: the
+// last column; any further columns are ignored) into the 2-d points, their
+// values and the points' bounding box. Returns false after printing why.
+bool LoadValueCsv(const Flags& flags, const char* cmd, const char* col_flag,
+                  PointSet* points, std::vector<double>* values, Rect* domain) {
+  const std::string& in = flags.String("in");
   if (in.empty()) {
-    std::fprintf(stderr, "kdvtool classify: --in FILE.csv required\n");
-    return 1;
+    std::fprintf(stderr, "kdvtool %s: --in FILE.csv required\n", cmd);
+    return false;
   }
   PointSet rows;
   Status load_status = LoadPointsCsv(in, {}, &rows);
   if (!load_status.ok()) {
     PrintStatus(load_status);
-    return 1;
+    return false;
   }
   const int cols = rows[0].dim();
-  int label_col = 0;
-  if (!ParseCountFlag(flags, "classify", "label-col", cols - 1, 0,
-                      &label_col)) {
-    return 2;
+  const int col = flags.Has(col_flag) ? flags.Int(col_flag) : cols - 1;
+  if (cols < 3 || col >= cols) {
+    std::fprintf(stderr, "kdvtool %s: need x,y plus a --%s column\n", cmd,
+                 col_flag);
+    return false;
   }
-  if (cols < 3 || label_col >= cols) {
-    std::fprintf(stderr, "kdvtool classify: need x,y plus a label column\n");
-    return 1;
-  }
-
-  std::vector<PointSet> classes;
-  Rect domain(2);
   for (const Point& row : rows) {
-    int label = static_cast<int>(row[label_col]);
-    if (label < 0 || label > 63) {
-      std::fprintf(stderr, "kdvtool classify: labels must be in [0, 63]\n");
-      return 1;
-    }
     Point p(2);
     int c = 0;
     for (int j = 0; j < cols && c < 2; ++j) {
-      if (j == label_col) continue;
-      p[c++] = row[j];
+      if (j != col) p[c++] = row[j];
     }
-    if (static_cast<size_t>(label) >= classes.size()) {
-      classes.resize(label + 1);
+    points->push_back(p);
+    values->push_back(row[col]);
+    domain->Expand(p);
+  }
+  return true;
+}
+
+// Renders a kernel-density-classification map: each pixel colored by the
+// class with the highest class-conditional density. Input CSV must carry a
+// label column (--label-col, default: last column); the remaining first two
+// numeric columns are the coordinates.
+int CmdClassify(const Flags& flags) {
+  const int width = flags.Int("width");
+  const int height = HeightFlag(flags);
+  KdeClassifier::Options options;
+  if (!ReadModel(flags, &options.method, &options.kernel)) return 1;
+  PointSet points;
+  std::vector<double> labels;
+  Rect domain(2);
+  if (!LoadValueCsv(flags, "classify", "label-col", &points, &labels,
+                    &domain)) {
+    return 1;
+  }
+  std::vector<PointSet> classes;
+  for (size_t i = 0; i < points.size(); ++i) {
+    // Checked as a double: a fractional, negative or huge label must not
+    // reach the cast.
+    if (!(labels[i] >= 0.0 && labels[i] <= 63.0) ||
+        labels[i] != std::floor(labels[i])) {
+      std::fprintf(stderr,
+                   "kdvtool classify: labels must be integers in [0, 63]\n");
+      return 1;
     }
-    classes[label].push_back(p);
-    domain.Expand(p);
+    const size_t label = static_cast<size_t>(labels[i]);
+    if (label >= classes.size()) classes.resize(label + 1);
+    classes[label].push_back(points[i]);
   }
   for (size_t c = 0; c < classes.size(); ++c) {
     if (classes[c].empty()) {
@@ -768,16 +542,6 @@ int CmdClassify(const Flags& flags) {
     }
   }
   const int k = static_cast<int>(classes.size());
-
-  KdeClassifier::Options options;
-  if (!ParseMethod(flags.GetString("method", "quad"), &options.method)) {
-    std::fprintf(stderr, "kdvtool: unknown --method\n");
-    return 1;
-  }
-  if (!ParseKernel(flags.GetString("kernel", "gaussian"), &options.kernel)) {
-    std::fprintf(stderr, "kdvtool: unknown --kernel\n");
-    return 1;
-  }
   KdeClassifier classifier(std::move(classes), options);
 
   PixelGrid grid(width, height, domain);
@@ -790,7 +554,7 @@ int CmdClassify(const Flags& flags) {
                                      : 0.5);
     }
   }
-  std::string out = flags.GetString("out", "classes.ppm");
+  const std::string& out = flags.String("out");
   if (!img.WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
@@ -804,64 +568,23 @@ int CmdClassify(const Flags& flags) {
 // Renders a Nadaraya–Watson regression field from a CSV with a non-negative
 // target column (--target-col, default: last column).
 int CmdRegress(const Flags& flags) {
-  int width = 0;
-  int height = 0;
-  if (!ParseResolution(flags, "regress", 320, &width, &height)) return 2;
-  const double eps = GetValidatedDouble(flags, "eps", 0.01);
-  const Status eps_status = ValidateEps(eps);
-  if (!eps_status.ok()) {
-    PrintStatus(eps_status);
-    return 1;
-  }
-  std::string in = flags.GetString("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "kdvtool regress: --in FILE.csv required\n");
-    return 1;
-  }
-  PointSet rows;
-  Status load_status = LoadPointsCsv(in, {}, &rows);
-  if (!load_status.ok()) {
-    PrintStatus(load_status);
-    return 1;
-  }
-  const int cols = rows[0].dim();
-  int target_col = 0;
-  if (!ParseCountFlag(flags, "regress", "target-col", cols - 1, 0,
-                      &target_col)) {
-    return 2;
-  }
-  if (cols < 3 || target_col >= cols) {
-    std::fprintf(stderr, "kdvtool regress: need x,y plus a target column\n");
-    return 1;
-  }
-
+  const int width = flags.Int("width");
+  const int height = HeightFlag(flags);
+  double eps = 0.0;
+  if (!ReadEps(flags, &eps)) return 1;
+  KernelRegressor::Options options;
+  if (!ReadModel(flags, &options.method, &options.kernel)) return 1;
   PointSet xs;
   std::vector<double> ys;
   Rect domain(2);
-  for (const Point& row : rows) {
-    if (row[target_col] < 0.0) {
+  if (!LoadValueCsv(flags, "regress", "target-col", &xs, &ys, &domain)) {
+    return 1;
+  }
+  for (double y : ys) {
+    if (y < 0.0) {
       std::fprintf(stderr, "kdvtool regress: targets must be >= 0\n");
       return 1;
     }
-    Point p(2);
-    int c = 0;
-    for (int j = 0; j < cols && c < 2; ++j) {
-      if (j == target_col) continue;
-      p[c++] = row[j];
-    }
-    xs.push_back(p);
-    ys.push_back(row[target_col]);
-    domain.Expand(p);
-  }
-
-  KernelRegressor::Options options;
-  if (!ParseMethod(flags.GetString("method", "quad"), &options.method)) {
-    std::fprintf(stderr, "kdvtool: unknown --method\n");
-    return 1;
-  }
-  if (!ParseKernel(flags.GetString("kernel", "gaussian"), &options.kernel)) {
-    std::fprintf(stderr, "kdvtool: unknown --kernel\n");
-    return 1;
   }
   KernelRegressor regressor(std::move(xs), std::move(ys), options);
 
@@ -874,7 +597,7 @@ int CmdRegress(const Flags& flags) {
                                           eps).estimate;
     }
   }
-  std::string out = flags.GetString("out", "regression.ppm");
+  const std::string& out = flags.String("out");
   if (!RenderHeatMap(field).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
@@ -885,22 +608,17 @@ int CmdRegress(const Flags& flags) {
   return 0;
 }
 
-// Shared flag parsing for the state-directory commands (recover,
-// checkpoint). Returns false after printing a usage error.
-bool ParseRecoveryOptions(const Flags& flags, const char* cmd,
-                          RecoveryOptions* options) {
-  options->state_dir = flags.GetString("state", "");
+// The state-directory flags of recover and checkpoint. Returns false after
+// printing a usage error when --state is missing.
+bool ReadRecoveryOptions(const Flags& flags, const char* cmd,
+                         RecoveryOptions* options) {
+  options->state_dir = flags.String("state");
   if (options->state_dir.empty()) {
     std::fprintf(stderr, "kdvtool %s: --state DIR required\n", cmd);
     return false;
   }
-  options->csv_fallback = flags.GetString("csv", "");
-  const int leaf_size = GetValidatedInt(flags, "leaf-size", 32);
-  if (leaf_size < 1) {
-    std::fprintf(stderr, "kdvtool %s: --leaf-size must be >= 1\n", cmd);
-    return false;
-  }
-  options->leaf_size = static_cast<size_t>(leaf_size);
+  options->csv_fallback = flags.String("csv");
+  options->leaf_size = static_cast<size_t>(flags.Int("leaf-size"));
   return true;
 }
 
@@ -909,9 +627,9 @@ bool ParseRecoveryOptions(const Flags& flags, const char* cmd,
 // listed on stderr so operators see them even when piping stdout.
 int CmdRecover(const Flags& flags) {
   RecoveryOptions options;
-  if (!ParseRecoveryOptions(flags, "recover", &options)) return 2;
+  if (!ReadRecoveryOptions(flags, "recover", &options)) return 2;
 
-  if (flags.GetBool("bootstrap", false)) {
+  if (flags.Bool("bootstrap")) {
     PointSet points;
     if (!LoadInput(flags, &points)) return 1;
     StatusOr<RecoveredState> state =
@@ -952,7 +670,7 @@ int CmdRecover(const Flags& flags) {
 // generation committed by an atomic manifest flip.
 int CmdCheckpoint(const Flags& flags) {
   RecoveryOptions options;
-  if (!ParseRecoveryOptions(flags, "checkpoint", &options)) return 2;
+  if (!ReadRecoveryOptions(flags, "checkpoint", &options)) return 2;
 
   RecoveryReport report;
   StatusOr<RecoveredState> state = RecoveryManager::Recover(options, &report);
@@ -992,115 +710,27 @@ double Percentile(const std::vector<double>& sorted, double p) {
 // any were violated.
 int CmdServeSim(const Flags& flags) {
   Session s;
-  if (const int rc = OpenSession(flags, "serve-sim", &s); rc != 0) return rc;
+  if (!OpenSession(flags, &s)) return 1;
 
-  const int threads_flag = GetValidatedInt(flags, "threads", 4);
-  if (threads_flag < 0) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --threads must be an integer >= 0 "
-                 "(0 = hardware concurrency)\n");
-    return 2;
-  }
-  const int threads = ResolveRenderThreads(threads_flag);
-  int frame_threads = GetValidatedInt(flags, "frame-threads", 1);
-  if (frame_threads < 0) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --frame-threads must be an integer >= 0 "
-                 "(0 = hardware concurrency)\n");
-    return 2;
-  }
-  int tile_rows = 0;
-  if (!ParseCountFlag(flags, "serve-sim", "tile-rows", 16, 1, &tile_rows)) {
-    return 2;
-  }
-  bool tile_shared = true;
-  if (!ParseTileShared(flags, "serve-sim", &tile_shared)) return 2;
-  int clients = 0;
-  int requests = 0;
-  int queue = 0;
-  int max_attempts = 0;
-  if (!ParseCountFlag(flags, "serve-sim", "clients", threads * 4, 1,
-                      &clients) ||
-      !ParseCountFlag(flags, "serve-sim", "requests", 100, 1, &requests) ||
-      !ParseCountFlag(flags, "serve-sim", "queue", threads * 2, 1, &queue) ||
-      !ParseCountFlag(flags, "serve-sim", "max-attempts", 3, 1,
-                      &max_attempts)) {
-    return 2;
-  }
-  double budget_ms = GetValidatedDouble(flags, "budget-ms", -1.0);
-  if (std::isnan(budget_ms)) {
-    std::fprintf(stderr, "kdvtool serve-sim: bad --budget-ms\n");
-    return 2;
-  }
-  double eps = GetValidatedDouble(flags, "eps", 0.05);
-  Status eps_status = ValidateEps(eps);
-  if (!eps_status.ok()) {
-    PrintStatus(eps_status);
-    return 1;
-  }
-  std::string on_deadline = flags.GetString("on-deadline", "degrade");
-  if (on_deadline != "degrade" && on_deadline != "fail") {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --on-deadline must be 'degrade' or "
-                 "'fail'\n");
-    return 2;
-  }
-
-  const int swap_after = GetValidatedInt(flags, "swap-after", -1);
-  if (flags.Has("swap-after") && swap_after < 0) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: --swap-after must be an integer >= 0 "
-                 "(completed requests before the hot-swap)\n");
-    return 2;
-  }
-
+  double eps = 0.0;
+  if (!ReadEps(flags, &eps)) return 1;
+  const int threads = ResolveRenderThreads(flags.Int("threads"));
+  const int clients = flags.Has("clients") ? flags.Int("clients") : threads * 4;
+  const int requests = flags.Int("requests");
+  const int queue = flags.Has("queue") ? flags.Int("queue") : threads * 2;
+  const double budget_ms = flags.Double("budget-ms");
+  const int swap_after = flags.Has("swap-after") ? flags.Int("swap-after") : -1;
   // Base seed for the client swarm's shed-backoff jitter (client c derives
   // seed + c). Stamped into the JSON report alongside the build id so a
   // captured run names everything needed to reproduce it.
-  uint64_t swarm_seed = 0xC11E47ull;
-  if (!GetSeedFlag(flags, "seed", swarm_seed, &swarm_seed)) {
-    std::fprintf(stderr, "kdvtool serve-sim: bad --seed\n");
-    return 2;
-  }
+  const uint64_t swarm_seed = flags.Uint64("seed");
+  // Runtime self-defense (all opt-in).
+  const bool use_governor = flags.Bool("governor");
+  const bool use_watchdog = flags.Bool("watchdog");
+  const bool use_scrub = flags.Bool("scrub");
+  const std::string& scrub_index = flags.String("scrub-index");
 
-  // Runtime self-defense knobs (all opt-in).
-  const bool use_governor = flags.GetBool("governor", false);
-  const double mem_budget_mb = GetValidatedDouble(flags, "mem-budget-mb", 0.0);
-  const double queue_wait_sat_ms =
-      GetValidatedDouble(flags, "queue-wait-sat-ms", 500.0);
-  if (std::isnan(mem_budget_mb) || mem_budget_mb < 0.0 ||
-      std::isnan(queue_wait_sat_ms) || queue_wait_sat_ms <= 0.0) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: bad --mem-budget-mb / "
-                 "--queue-wait-sat-ms\n");
-    return 2;
-  }
-  const bool use_watchdog = flags.GetBool("watchdog", false);
-  const double watchdog_multiple =
-      GetValidatedDouble(flags, "watchdog-multiple", 2.0);
-  const double no_progress_ms =
-      GetValidatedDouble(flags, "no-progress-ms", 1000.0);
-  if (std::isnan(watchdog_multiple) || watchdog_multiple <= 0.0 ||
-      std::isnan(no_progress_ms)) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: bad --watchdog-multiple / "
-                 "--no-progress-ms\n");
-    return 2;
-  }
-  const bool use_scrub = flags.GetBool("scrub", false);
-  const double scrub_interval_ms =
-      GetValidatedDouble(flags, "scrub-interval-ms", 5.0);
-  const int scrub_samples = GetValidatedInt(flags, "scrub-samples", 2);
-  const std::string scrub_index = flags.GetString("scrub-index", "");
-  if (std::isnan(scrub_interval_ms) || scrub_interval_ms <= 0.0 ||
-      scrub_samples < 0) {
-    std::fprintf(stderr,
-                 "kdvtool serve-sim: bad --scrub-interval-ms / "
-                 "--scrub-samples\n");
-    return 2;
-  }
-
-  std::string fp_spec = flags.GetString("failpoints", "");
+  const std::string& fp_spec = flags.String("failpoints");
   if (!fp_spec.empty()) {
     Status fp = failpoint::ConfigureFromSpec(fp_spec);
     if (!fp.ok()) {
@@ -1124,20 +754,21 @@ int CmdServeSim(const Flags& flags) {
   RenderService::Options options;
   options.num_threads = threads;
   options.max_queue = static_cast<size_t>(queue);
-  options.max_attempts = max_attempts;
-  options.intra_frame_threads = frame_threads;
-  options.tile_rows = tile_rows;
-  options.tile_shared = tile_shared;
+  options.max_attempts = flags.Int("max-attempts");
+  options.intra_frame_threads = flags.Int("frame-threads");
+  options.tile_rows = flags.Int("tile-rows");
+  options.tile_shared = flags.String("tile-shared") == "on";
   if (use_governor) {
     options.governor.enabled = true;
-    options.governor.queue_wait_saturation_seconds = queue_wait_sat_ms / 1e3;
-    options.governor.memory_budget_bytes =
-        static_cast<uint64_t>(mem_budget_mb * 1024.0 * 1024.0);
+    options.governor.queue_wait_saturation_seconds =
+        flags.Double("queue-wait-sat-ms") / 1e3;
+    options.governor.memory_budget_bytes = static_cast<uint64_t>(
+        flags.Double("mem-budget-mb") * 1024.0 * 1024.0);
   }
   if (use_watchdog) {
     options.watchdog.enabled = true;
-    options.watchdog.deadline_multiple = watchdog_multiple;
-    options.watchdog.no_progress_seconds = no_progress_ms / 1e3;
+    options.watchdog.deadline_multiple = flags.Double("watchdog-multiple");
+    options.watchdog.no_progress_seconds = flags.Double("no-progress-ms") / 1e3;
   }
 
   // Start cold so the readiness transition is observable, then publish the
@@ -1160,8 +791,8 @@ int CmdServeSim(const Flags& flags) {
   if (use_scrub) {
     IntegrityScrubber::Options sopts;
     sopts.enabled = true;
-    sopts.interval_seconds = scrub_interval_ms / 1e3;
-    sopts.pixel_samples_per_tick = scrub_samples;
+    sopts.interval_seconds = flags.Double("scrub-interval-ms") / 1e3;
+    sopts.pixel_samples_per_tick = flags.Int("scrub-samples");
     sopts.index_path = scrub_index;
     sopts.defer = [&service, in_flight_cap] {
       // Yield to the serving path while it is saturated; scrub in the gaps.
@@ -1190,7 +821,7 @@ int CmdServeSim(const Flags& flags) {
   ServeRequestOptions request;
   request.eps = eps;
   request.budget_seconds = budget_ms >= 0.0 ? budget_ms / 1000.0 : -1.0;
-  request.degrade = on_deadline == "degrade";
+  request.degrade = flags.String("on-deadline") == "degrade";
 
   std::atomic<long> next{0};
   std::atomic<uint64_t> bad_rejections{0};  // shed with a code other than
@@ -1289,7 +920,7 @@ int CmdServeSim(const Flags& flags) {
   const double p95 = Percentile(latencies_ms, 0.95);
   const double p99 = Percentile(latencies_ms, 0.99);
 
-  if (flags.GetBool("json", false)) {
+  if (flags.Bool("json")) {
     JsonWriter w;
     w.BeginObject()
         .Key("seed").Value(swarm_seed)
@@ -1335,7 +966,7 @@ int CmdServeSim(const Flags& flags) {
     }
     w.EndObject();
     w.Key("tile_shared").BeginObject()
-        .Key("enabled").Value(tile_shared)
+        .Key("enabled").Value(options.tile_shared)
         .Key("frontier_cache_hits").Value(stats.frontier_cache_hits)
         .EndObject();
     w.Key("simd").Value(SimdLevelName(ActiveSimdLevel()));
@@ -1427,7 +1058,7 @@ int CmdServeSim(const Flags& flags) {
                 health_final.c_str(),
                 static_cast<unsigned long long>(stats.epoch),
                 static_cast<unsigned long long>(stats.swaps));
-    if (tile_shared) {
+    if (options.tile_shared) {
       std::printf("  tile-shared: on, %llu frontier cache hit(s)\n",
                   static_cast<unsigned long long>(stats.frontier_cache_hits));
     }
@@ -1499,16 +1130,11 @@ int CmdServeSim(const Flags& flags) {
 // the observability layer exports without standing up a full load run.
 int CmdMetrics(const Flags& flags) {
   Session s;
-  if (const int rc = OpenSession(flags, "metrics", &s); rc != 0) return rc;
+  if (!OpenSession(flags, &s)) return 1;
 
-  int requests = 0;
-  if (!ParseCountFlag(flags, "metrics", "requests", 8, 0, &requests)) return 2;
-  const double eps = GetValidatedDouble(flags, "eps", 0.05);
-  const Status eps_status = ValidateEps(eps);
-  if (!eps_status.ok()) {
-    PrintStatus(eps_status);
-    return 1;
-  }
+  const int requests = flags.Int("requests");
+  double eps = 0.0;
+  if (!ReadEps(flags, &eps)) return 1;
 
   KdeEvaluator evaluator = s.bench->MakeEvaluator(s.method);
   PixelGrid grid(s.width, s.height, s.bench->data_bounds());
@@ -1539,7 +1165,7 @@ int CmdMetrics(const Flags& flags) {
   }
 
   const obs::MetricsSnapshot snapshot = obs::MetricsRegistry::Global().Snapshot();
-  if (flags.GetBool("json", false)) {
+  if (flags.Bool("json")) {
     std::printf("%s\n", obs::ExportJson(snapshot).c_str());
   } else {
     std::fputs(obs::ExportPrometheus(snapshot).c_str(), stdout);
@@ -1610,38 +1236,22 @@ int ReportSimFailure(SimOptions options, const SimReport& failing) {
 
 int CmdSim(const Flags& flags) {
   SimOptions options;
-  if (!GetSeedFlag(flags, "seed", options.seed, &options.seed)) {
-    std::fprintf(stderr, "kdvtool sim: bad --seed\n");
-    return 2;
-  }
   const bool replay = flags.Has("replay");
-  if (replay && !GetSeedFlag(flags, "replay", options.seed, &options.seed)) {
-    std::fprintf(stderr, "kdvtool sim: bad --replay\n");
-    return 2;
-  }
-  options.num_ops = GetValidatedInt(flags, "ops", options.num_ops);
-  options.num_workers = GetValidatedInt(flags, "workers", options.num_workers);
-  const int queue =
-      GetValidatedInt(flags, "queue", static_cast<int>(options.max_queue));
-  options.dataset_n = GetValidatedInt(flags, "n", options.dataset_n);
-  if (options.num_ops < 1 || options.num_workers < 1 || queue < 1 ||
-      options.dataset_n < 8) {
-    std::fprintf(stderr,
-                 "kdvtool sim: --ops/--workers/--queue must be integers >= 1 "
-                 "and --n an integer >= 8\n");
-    return 2;
-  }
-  options.max_queue = static_cast<size_t>(queue);
-  options.state_root = flags.GetString("state-root", "");
-  options.faults_enabled = flags.GetBool("faults", true);
-  options.plant_bug = flags.GetBool("plant-bug", false);
+  options.seed = flags.Uint64(replay ? "replay" : "seed");
+  options.num_ops = flags.Int("ops");
+  options.num_workers = flags.Int("workers");
+  options.max_queue = static_cast<size_t>(flags.Int("queue"));
+  options.dataset_n = flags.Int("n");
+  options.state_root = flags.String("state-root");
+  options.faults_enabled = flags.Bool("faults");
+  options.plant_bug = flags.Bool("plant-bug");
 
   // --schedule replaces the seed-derived fault schedule (how a minimized
   // repro line re-enters the simulator).
   FaultSchedule explicit_schedule;
   if (flags.Has("schedule")) {
     StatusOr<FaultSchedule> parsed =
-        FaultSchedule::Parse(flags.GetString("schedule", ""));
+        FaultSchedule::Parse(flags.String("schedule"));
     if (!parsed.ok()) {
       PrintStatus(parsed.status());
       return 2;
@@ -1650,13 +1260,9 @@ int CmdSim(const Flags& flags) {
     options.schedule_override = &explicit_schedule;
   }
 
-  const bool json = flags.GetBool("json", false);
-  const int sweep = GetValidatedInt(flags, "seeds", 1);
-  const bool until_failure = flags.GetBool("until-failure", false);
-  if (sweep < 1) {
-    std::fprintf(stderr, "kdvtool sim: --seeds must be an integer >= 1\n");
-    return 2;
-  }
+  const bool json = flags.Bool("json");
+  const int sweep = flags.Int("seeds");
+  const bool until_failure = flags.Bool("until-failure");
 
   if (replay) {
     // The replay contract: two runs of the same (seed, config) must produce
@@ -1778,41 +1384,203 @@ int CmdSim(const Flags& flags) {
   return 0;
 }
 
+int CmdVersion(const Flags&) {
+  std::printf("%s\n", BuildStamp().c_str());
+  return 0;
+}
+
+// ---- flag declarations -----------------------------------------------------
+
+// One command's declaration, joined from flag groups.
+std::vector<FlagSpec> Join(
+    std::initializer_list<std::vector<FlagSpec>> groups) {
+  std::vector<FlagSpec> flags;
+  for (const std::vector<FlagSpec>& group : groups) {
+    flags.insert(flags.end(), group.begin(), group.end());
+  }
+  return flags;
+}
+
+struct Command {
+  const char* name;
+  const char* summary;
+  std::vector<FlagSpec> flags;
+  int (*run)(const Flags&);
+};
+
+std::vector<Command> Commands() {
+  const auto eps = [](double default_eps) {
+    return F::Double("eps", "relative error", default_eps).CheckedByCommand();
+  };
+  const auto out = [](const char* default_path) {
+    return F::String("out", "output file", default_path);
+  };
+  const FlagSpec json = F::Bool("json", "machine-readable output");
+  const FlagSpec metrics_out =
+      F::String("metrics-out", "write the metrics registry as JSON");
+  const std::vector<FlagSpec> input = {  // LoadInput
+      F::String("in", "input CSV, one point per row (else --dataset)"),
+      F::Choice("dataset", Names(kDatasets), "synthetic dataset", "crime"),
+      F::Double("scale", "fraction of its full size", 0.01).Above(0).AtMost(1),
+      F::Bool("drop-bad", "drop NaN/Inf rows instead of failing")};
+  const std::vector<FlagSpec> model = {  // ReadModel and HeightFlag
+      F::Choice("kernel", Names(kKernels), "kernel", "gaussian"),
+      F::Choice("method", Names(kMethods), "bound method", "quad"),
+      F::Int("height", "frame height, by default 3/4 of --width").AtLeast(1)};
+  const std::vector<FlagSpec> session = Join(  // OpenSession
+      {input, model,
+       {F::Int("width", "frame width, pixels", 640).AtLeast(1),
+        F::Double("gamma", "kernel scale; < 0: Scott's rule", -1.0)
+            .CheckedByCommand()}});
+  const std::vector<FlagSpec> tile = {
+      F::Int("tile-rows", "chunk edge, pixels", 16).AtLeast(1),
+      F::Choice("tile-shared", "on|off", "off: per-pixel, the oracle", "on")};
+  const std::vector<FlagSpec> frame = Join(  // RenderOptionsFromFlags
+      {{F::Int("threads", "0: hardware threads", 1).AtLeast(0)}, tile});
+  const std::vector<FlagSpec> recovery = {  // ReadRecoveryOptions
+      F::String("state", "state directory (required)"),
+      F::String("csv", "CSV to rebuild from if the index is lost"),
+      F::Int("leaf-size", "kd-tree leaf size", 32).AtLeast(1)};
+  const SimOptions sim;
+  return {
+      {"generate", "synthesize a dataset analogue and write it as CSV",
+       Join({input, {out("points.csv")}}), CmdGenerate},
+      {"info", "dataset summary (bounds, Scott bandwidth, index stats)",
+       Join({session, {F::String("index", "verify a saved index")}}),
+       CmdInfo},
+      {"index", "build a kd-tree index and persist it",
+       Join({input,
+             {F::Int("leaf-size", "kd-tree leaf size", 32).AtLeast(1),
+              F::Int("format-version", "1: legacy",
+                     static_cast<int>(kKdTreeFormatVersion))
+                  .AtLeast(1),
+              out("index.kdv")}}),
+       CmdIndex},
+      {"render", "εKDV heat map -> PPM",
+       Join({session, {eps(0.01)}, frame,
+             {F::Double("budget-ms", "wall-clock budget").AtLeast(0),
+              F::Choice("on-deadline", "degrade|fail",
+                        "budget missed: lower tier, or exit 3", "degrade"),
+              json, metrics_out, out("kdv.ppm")}}),
+       CmdRender},
+      {"hotspot", "τKDV two-color map -> PPM",
+       Join({session,
+             {F::Double("tau", "threshold (else --tau-sigma)")
+                  .CheckedByCommand(),
+              F::Double("tau-sigma", "K in tau = mu + K*sigma", 0.0)},
+             frame, {out("hotspots.ppm")}}),
+       CmdHotspot},
+      {"progressive", "anytime εKDV under a time budget -> PPM",
+       Join({session,
+             {eps(0.01), F::Double("budget", "seconds", 0.5),
+              out("progressive.ppm")}}),
+       CmdProgressive},
+      {"classify", "kernel density classification map -> PPM",
+       Join({model,
+             {F::Int("width", "frame width, pixels", 320).AtLeast(1),
+              F::String("in", "CSV: x, y, integer label (required)"),
+              F::Int("label-col", "label column (default: last)").AtLeast(0),
+              out("classes.ppm")}}),
+       CmdClassify},
+      {"regress", "certified Nadaraya-Watson regression field -> PPM",
+       Join({model,
+             {F::Int("width", "frame width, pixels", 320).AtLeast(1),
+              eps(0.01), F::String("in", "CSV: x, y, target >= 0 (required)"),
+              F::Int("target-col", "target column (default: last)").AtLeast(0),
+              out("regression.ppm")}}),
+       CmdRegress},
+      {"serve-sim", "closed-loop load generator against the RenderService",
+       Join({session, tile,
+             {eps(0.05),
+              F::Int("threads", "workers (0: hardware threads)", 4).AtLeast(0),
+              F::Int("frame-threads", "tile workers per frame", 1).AtLeast(0),
+              F::Int("clients", "client threads (default 4x workers)")
+                  .AtLeast(1),
+              F::Int("requests", "requests to attempt", 100).AtLeast(1),
+              F::Int("queue", "queue depth (default 2x workers)").AtLeast(1),
+              F::Int("max-attempts", "attempts per request", 3).AtLeast(1),
+              F::Double("budget-ms", "request budget; < 0: none", -1.0),
+              F::Choice("on-deadline", "degrade|fail",
+                        "budget missed: lower tier, or fail", "degrade"),
+              F::Int("swap-after", "hot-swap after N requests").AtLeast(0),
+              F::Uint64("seed", "client backoff jitter seed", 0xC11E47),
+              F::Bool("governor", "brownout under overload"),
+              F::Double("mem-budget-mb", "memory budget", 0.0).AtLeast(0),
+              F::Double("queue-wait-sat-ms", "saturation", 500.0).Above(0),
+              F::Bool("watchdog", "force-cancel wedged renders"),
+              F::Double("watchdog-multiple", "N x budget", 2.0).Above(0),
+              F::Double("no-progress-ms", "stall limit; 0: off", 1000.0),
+              F::Bool("scrub", "integrity scrubber; exit 1 on a mismatch"),
+              F::Double("scrub-interval-ms", "scrubber tick", 5.0).Above(0),
+              F::Int("scrub-samples", "pixels per tick", 2).AtLeast(0),
+              F::String("scrub-index", "saved index to CRC-sweep"),
+              F::String("failpoints", "site=action;..."), json,
+              metrics_out}}),
+       CmdServeSim},
+      {"metrics", "serve a few requests, then print the metrics registry",
+       Join({session,
+             {eps(0.05), F::Int("requests", "requests", 8).AtLeast(0), json,
+              metrics_out}}),
+       CmdMetrics},
+      {"sim", "deterministic whole-stack simulation under seeded faults",
+       {F::Uint64("seed", "first seed", sim.seed),
+        F::Int("seeds", "seeds to sweep", 1).AtLeast(1),
+        F::Bool("until-failure", "sweep until an invariant breaks"),
+        F::Uint64("replay", "run this seed twice; exit 1 on divergence"),
+        F::String("schedule", "at_op:site=action;... (replaces seed's)"),
+        F::Int("ops", "virtual operations", sim.num_ops).AtLeast(1),
+        F::Int("workers", "worker slots", sim.num_workers).AtLeast(1),
+        F::Int("queue", "queue", static_cast<int>(sim.max_queue)).AtLeast(1),
+        F::Int("n", "bootstrap points", sim.dataset_n).AtLeast(8),
+        F::String("state-root", "simulated state directory"),
+        F::Bool("faults", "arm the fault schedule", true),
+        F::Bool("plant-bug", "canary: corrupt the ledger (must exit 1)"),
+        json},
+       CmdSim},
+      {"recover", "recover a crash-consistent state directory",
+       Join({recovery, input,
+             {F::Bool("bootstrap", "initialize --state from the input")}}),
+       CmdRecover},
+      {"checkpoint", "fold the update journal into a new index generation",
+       recovery, CmdCheckpoint},
+      {"version", "print the build stamp (also: kdvtool --version)", {},
+       CmdVersion},
+  };
+}
+
+// Prints the usage text of one command, or of all (null), to stderr and
+// returns the usage-error exit code.
+int Usage(const std::vector<Command>& commands, const Command* only) {
+  std::fprintf(stderr, "usage: kdvtool <command> [--flag value]...\n");
+  for (const Command& c : commands) {
+    if (only != nullptr && &c != only) continue;
+    std::fprintf(stderr, "  %-12s %s\n%s", c.name, c.summary,
+                 FlagsUsage(c.flags, "      ").c_str());
+  }
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  // Handled before flag parsing so `kdvtool --version` works even though
-  // every other invocation expects a bare subcommand first.
-  if (cmd == "version" || cmd == "--version") {
-    std::printf("%s\n", kdv::BuildStamp().c_str());
-    return 0;
+  const std::vector<Command> commands = Commands();
+  if (argc < 2) return Usage(commands, nullptr);
+  const std::string name =
+      std::string(argv[1]) == "--version" ? "version" : argv[1];
+  for (const Command& command : commands) {
+    if (name != command.name) continue;
+    kdv::Flags flags;
+    std::string error;
+    if (!kdv::Flags::Parse(command.flags, argc - 1, argv + 1, &flags,
+                           &error)) {
+      std::fprintf(stderr, "kdvtool %s: %s\n", command.name, error.c_str());
+      return Usage(commands, &command);
+    }
+    // Fault-injection sites from KDV_FAILPOINTS (no-op unless the binary was
+    // built with -DKDV_FAILPOINTS=ON; a malformed spec warns on stderr).
+    kdv::failpoint::ConfigureFromEnv();
+    return command.run(flags);
   }
-
-  kdv::Flags flags;
-  std::string error;
-  if (!kdv::Flags::Parse(argc - 1, argv + 1, &flags, &error)) {
-    std::fprintf(stderr, "kdvtool: %s\n", error.c_str());
-    return 2;
-  }
-
-  // Fault-injection sites from KDV_FAILPOINTS (no-op unless the binary was
-  // built with -DKDV_FAILPOINTS=ON; a malformed spec warns on stderr).
-  kdv::failpoint::ConfigureFromEnv();
-
-  if (cmd == "generate") return CmdGenerate(flags);
-  if (cmd == "info") return CmdInfo(flags);
-  if (cmd == "index") return CmdIndex(flags);
-  if (cmd == "render") return CmdRender(flags);
-  if (cmd == "hotspot") return CmdHotspot(flags);
-  if (cmd == "progressive") return CmdProgressive(flags);
-  if (cmd == "classify") return CmdClassify(flags);
-  if (cmd == "regress") return CmdRegress(flags);
-  if (cmd == "serve-sim") return CmdServeSim(flags);
-  if (cmd == "metrics") return CmdMetrics(flags);
-  if (cmd == "sim") return CmdSim(flags);
-  if (cmd == "recover") return CmdRecover(flags);
-  if (cmd == "checkpoint") return CmdCheckpoint(flags);
-  return Usage();
+  std::fprintf(stderr, "kdvtool: unknown command '%s'\n", name.c_str());
+  return Usage(commands, nullptr);
 }
