@@ -30,8 +30,8 @@ int main() {
       GridKde::Options options;
       options.grid_size = g;
       Timer timer;
-      GridKde approx(bench.tree().points(), bench.params(),
-                     bench.data_bounds(), options);
+      GridKde approx(bench.tree(), bench.params(), bench.data_bounds(),
+                     options);
       DensityFrame frame = approx.RenderFrame(grid);
       double secs = timer.ElapsedSeconds();
       char name[32];

@@ -11,9 +11,7 @@
 
 namespace {
 
-kdv::PointSet RandomQueries(const kdv::PointSet& data, int count,
-                            uint64_t seed) {
-  kdv::Rect box = kdv::BoundingBox(data);
+kdv::PointSet RandomQueries(const kdv::Rect& box, int count, uint64_t seed) {
   kdv::Rng rng(seed);
   kdv::PointSet queries;
   for (int i = 0; i < count; ++i) {
@@ -81,7 +79,7 @@ int main() {
     for (int d : dims) {
       PointSet projected = PcaProject(raw, d);
       Workbench bench(std::move(projected), KernelType::kGaussian);
-      PointSet queries = RandomQueries(bench.tree().points(), kQueries,
+      PointSet queries = RandomQueries(bench.data_bounds(), kQueries,
                                        1000 + d);
 
       double qps[4];

@@ -145,12 +145,24 @@ BENCHMARK(
     ->Arg(8)
     ->Arg(16);
 
+// The tree's points in tree order.
+kdv::PointSet TreeOrderPoints(const kdv::KdTree& tree) {
+  kdv::PointSet points;
+  points.reserve(tree.num_points());
+  for (size_t i = 0; i < tree.num_points(); ++i) {
+    points.push_back(tree.point(i));
+  }
+  return points;
+}
+
 // ns per NodeBounds::Evaluate over the descent pairs, in descent order,
-// with Scott's-rule bandwidth as the renderer would use.
+// with Scott's-rule bandwidth as the renderer would use (taken over the
+// points in tree order).
 template <kdv::Method M, kdv::KernelType K>
 void BM_BoundEvaluateDescent(benchmark::State& state) {
   const DescentFixture& f = Descent(static_cast<int>(state.range(0)));
-  const kdv::KernelParams params = kdv::MakeScottParams(K, f.tree->points());
+  const kdv::KernelParams params =
+      kdv::MakeScottParams(K, TreeOrderPoints(*f.tree));
   std::unique_ptr<kdv::NodeBounds> bounds = kdv::MakeNodeBounds(M, params);
   size_t i = 0;
   for (auto _ : state) {

@@ -20,16 +20,19 @@ double TruncationRadius(const KernelParams& params, double truncation) {
   return x_cut / params.gamma;  // x = gamma * d
 }
 
-GridKde::GridKde(const PointSet& points, const KernelParams& params,
+GridKde::GridKde(const KdTree& tree, const KernelParams& params,
                  const Rect& domain, const Options& options)
     : params_(params), domain_(domain),
       grid_size_(std::max(options.grid_size, 1)),
       radius_(TruncationRadius(params, options.truncation)) {
-  KDV_CHECK(domain_.dim() >= 2);
+  KDV_CHECK(domain_.dim() >= 2 && tree.dim() >= 2);
   // Bin densely first, then compress to occupied cells (see header).
   std::vector<double> dense(static_cast<size_t>(grid_size_) * grid_size_,
                             0.0);
-  for (const Point& p : points) {
+  const double* xs = tree.coords(0);
+  const double* ys = tree.coords(1);
+  for (size_t i = 0; i < tree.num_points(); ++i) {
+    const double p[2] = {xs[i], ys[i]};
     if (!(p[0] >= domain_.lo(0) && p[0] <= domain_.hi(0) &&
           p[1] >= domain_.lo(1) && p[1] <= domain_.hi(1))) {
       continue;

@@ -15,6 +15,7 @@
 
 #include "geom/point.h"
 #include "geom/rect.h"
+#include "index/kdtree.h"
 #include "kernel/kernel.h"
 #include "viz/frame.h"
 #include "viz/pixel_grid.h"
@@ -46,11 +47,11 @@ class GridKde {
     bool precompute = false;
   };
 
-  // Bins `points` over `domain`; points outside the domain are skipped, so
-  // a caller that queries a viewport bins over the viewport grown by
-  // TruncationRadius. 2-d only.
-  GridKde(const PointSet& points, const KernelParams& params,
-          const Rect& domain, const Options& options);
+  // Bins the tree's points over `domain`, reading the first two columns;
+  // points outside the domain are skipped, so a caller that queries a
+  // viewport bins over the viewport grown by TruncationRadius. 2-d only.
+  GridKde(const KdTree& tree, const KernelParams& params, const Rect& domain,
+          const Options& options);
 
   // Approximate density at q (no guarantee).
   double Evaluate(const Point& q) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/leaf_kernel.h"
 #include "core/refinement_stream.h"
 #include "util/check.h"
 
@@ -39,12 +40,9 @@ int KdeClassifier::ClassifyExact(const Point& q) const {
   double best_value = -1.0;
   for (int c = 0; c < num_classes(); ++c) {
     const KdTree& tree = *trees_[c];
-    const PointSet& pts = tree.points();
-    double sum = 0.0;
-    for (const Point& p : pts) {
-      sum += params_[c].EvalSquaredDistance(SquaredDistance(q, p));
-    }
-    double value = params_[c].weight * sum;
+    const double value =
+        LeafSum(tree, params_[c], 0, static_cast<uint32_t>(tree.num_points()),
+                q);
     if (value > best_value) {
       best_value = value;
       best = c;

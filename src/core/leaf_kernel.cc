@@ -19,8 +19,8 @@ constexpr uint32_t kChunk = 128;
 
 // Pass 1, 2-d specialization, scalar: d2[j] for points [0, count). Element j
 // performs exactly the SquaredDistance operation sequence
-// (s = 0; s += dx*dx; s += dy*dy) so the value is bit-identical to the AoS
-// scalar path; elements are independent, so the loop auto-vectorizes.
+// (s = 0; s += dx*dx; s += dy*dy) so the value is bit-identical to the
+// reference loop's; elements are independent, so the loop auto-vectorizes.
 void SquaredDistances2dScalar(const double* xs, const double* ys, double qx,
                               double qy, uint32_t count, double* d2) {
   for (uint32_t j = 0; j < count; ++j) {
@@ -174,16 +174,6 @@ const char* SimdLevelName(SimdLevel level) {
   }
 }
 
-double LeafSumAoS(const KdTree& tree, const KernelParams& params,
-                  uint32_t begin, uint32_t end, const Point& q) {
-  const PointSet& pts = tree.points();
-  double sum = 0.0;
-  for (uint32_t i = begin; i < end; ++i) {
-    sum += params.EvalSquaredDistance(SquaredDistance(q, pts[i]));
-  }
-  return params.weight * sum;
-}
-
 double LeafSumSoA(const KdTree& tree, const KernelParams& params,
                   uint32_t begin, uint32_t end, const Point& q) {
   double d2[kChunk];
@@ -199,7 +189,7 @@ double LeafSumSoA(const KdTree& tree, const KernelParams& params,
       SquaredDistancesNd(tree, q, i, count, d2);
     }
     // Pass 2: fold the kernel profile in point order — the same addition
-    // sequence as the AoS loop, so the total is bit-identical.
+    // sequence as the reference loop, so the total is bit-identical.
     for (uint32_t j = 0; j < count; ++j) {
       sum += params.EvalSquaredDistance(d2[j]);
     }

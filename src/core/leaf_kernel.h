@@ -2,22 +2,21 @@
 //
 // A leaf (or, for the EXACT method, the whole point set) contributes
 //   w * sum_i K(x(q, p_i))
-// to the running bounds. The classic loop walks the AoS Point array, which
-// strides kMaxDim+1 doubles per point — for 2-d data ~8x the cache traffic
-// the coordinates need — and folds the squared distance, the profile switch
-// and the accumulation into one serial dependency chain the compiler cannot
-// vectorize.
+// to the running bounds. The reference is the point-by-point loop
+//   sum += params.EvalSquaredDistance(SquaredDistance(q, p_i))
+// in index order, then times w; it folds the squared distance, the profile
+// switch and the accumulation into one serial dependency chain the compiler
+// cannot vectorize.
 //
-// LeafSumSoA streams the KdTree's structure-of-arrays coordinate mirror
-// (KdTree::coords) in fixed-size chunks: pass 1 computes the squared
-// distances of a chunk (independent elements — auto-vectorizable), pass 2
-// folds the kernel profile over them in point order. Because the per-element
-// operation sequence is exactly the AoS sequence and the final accumulation
-// order is unchanged, the result is bit-identical to LeafSumAoS — which is
-// what lets the parallel frame renderer promise bitwise-equal output while
-// swapping the leaf kernel underneath. This translation unit is compiled
-// with -O3 -ffp-contract=off (src/core/CMakeLists.txt) so vectorization is
-// on but FP contraction cannot silently diverge the two paths.
+// LeafSumSoA streams the KdTree's coordinate columns (KdTree::coords) in
+// fixed-size chunks: pass 1 computes the squared distances of a chunk
+// (independent elements — auto-vectorizable), pass 2 folds the kernel
+// profile over them in point order. Because the per-element operation
+// sequence is exactly SquaredDistance's and the final accumulation order is
+// unchanged, the result is bit-identical to the reference loop (the tests
+// keep that loop as their oracle). This translation unit is compiled with
+// -O3 -ffp-contract=off (src/core/CMakeLists.txt) so vectorization is on but
+// FP contraction cannot silently diverge the two.
 //
 // SIMD dispatch is a runtime decision, not a build flag: one binary carries
 // scalar, SSE2 and AVX2 variants of the 2-d distance pass (the AVX2 one via
@@ -61,14 +60,8 @@ void SetSimdLevel(SimdLevel level);
 // "scalar", "sse2" or "avx2".
 const char* SimdLevelName(SimdLevel level);
 
-// Reference implementation: the historical scalar AoS loop
-//   sum_i params.weight-less profile(SquaredDistance(q, points()[i]))
-// over [begin, end), times params.weight. Kept as the bit-exactness oracle
-// for tests.
-double LeafSumAoS(const KdTree& tree, const KernelParams& params,
-                  uint32_t begin, uint32_t end, const Point& q);
-
-// SoA chunked path; bit-identical to LeafSumAoS (see header comment).
+// w * sum_i K(q, p_i) over tree-order points [begin, end), chunked over
+// the columns; bit-identical to the reference loop (see header comment).
 double LeafSumSoA(const KdTree& tree, const KernelParams& params,
                   uint32_t begin, uint32_t end, const Point& q);
 

@@ -1,8 +1,10 @@
 // Fixed-capacity d-dimensional point type.
 //
 // KDV operates on 2-d data; the generalized KDE experiments (paper §7.7) go
-// up to d = 10. A fixed inline capacity keeps points contiguous inside
-// kd-tree leaves with no per-point heap allocation.
+// up to d = 10. A fixed inline capacity needs no per-point heap allocation,
+// but every Point is 136 bytes whatever its dimension: it is the query and
+// ingest type. The kd-tree keeps its points as dim-major coordinate columns
+// instead (index/kdtree.h).
 #ifndef QUADKDV_GEOM_POINT_H_
 #define QUADKDV_GEOM_POINT_H_
 

@@ -4,44 +4,43 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <string>
+#include <utility>
 
+#include "geom/rect.h"
 #include "util/check.h"
 
 namespace kdv {
 
-namespace {
-
-// Bounding box over an index range via indirection (build-time only).
-Rect RangeMbr(const PointSet& points, const std::vector<uint32_t>& idx,
-              size_t begin, size_t end, int dim) {
-  Rect mbr(dim);
-  for (size_t i = begin; i < end; ++i) mbr.Expand(points[idx[i]]);
-  return mbr;
-}
-
-}  // namespace
-
 KdTree::KdTree(PointSet points, Options options) {
   KDV_CHECK_MSG(!points.empty(), "KdTree requires a non-empty point set");
   dim_ = points[0].dim();
-  for (const Point& p : points) {
-    KDV_CHECK_MSG(p.dim() == dim_, "KdTree points must share dimensionality");
-  }
+  const size_t n = points.size();
   const size_t leaf_size = std::max<size_t>(options.leaf_size, 1);
 
-  // Phase 1: build the split structure over an index array, so the
+  // Copy the input into the columns and free it: the build and every reader
+  // work on the columns alone.
+  coords_.resize(static_cast<size_t>(dim_) * n);
+  for (size_t i = 0; i < n; ++i) {
+    const Point& p = points[i];
+    KDV_CHECK_MSG(p.dim() == dim_, "KdTree points must share dimensionality");
+    for (int d = 0; d < dim_; ++d) {
+      coords_[static_cast<size_t>(d) * n + i] = p[d];
+    }
+  }
+  PointSet().swap(points);
+
+  // Split in place. original_indices_ moves with the columns, so the
   // input-order permutation is available to callers with per-point payloads.
-  original_indices_.resize(points.size());
+  original_indices_.resize(n);
   std::iota(original_indices_.begin(), original_indices_.end(), 0u);
   std::vector<Topology> nodes;
-  nodes.reserve(2 * (points.size() / leaf_size + 1));
-  BuildRecursive(points, 0, points.size(), leaf_size, &nodes);
-
-  // Phase 2: gather points into tree order and fill the node records.
-  points_.reserve(points.size());
-  for (uint32_t idx : original_indices_) points_.push_back(points[idx]);
+  nodes.reserve(2 * (n / leaf_size + 1));
+  {
+    std::vector<KeyedPosition> keyed(n);
+    BuildRecursive(0, n, leaf_size, keyed.data(), &nodes);
+  }
   FillRecords(nodes);
-  BuildSoA();
 }
 
 void KdTree::FillRecords(const std::vector<Topology>& nodes) {
@@ -58,22 +57,13 @@ void KdTree::FillRecords(const std::vector<Topology>& nodes) {
     double* rec = records_.get() + id * stride_;
     const Topology& t = nodes[id];
     std::memcpy(rec, &t, sizeof(t));
-    NodeStats::Accumulate(points_.data() + t.begin, t.count(),
-                          rec + kTopologyDoubles);
+    NodeStats::Accumulate(coords_.data() + t.begin, num_points(), dim_,
+                          t.count(), rec + kTopologyDoubles);
   }
 }
 
-void KdTree::BuildSoA() {
-  const size_t n = points_.size();
-  soa_coords_.resize(static_cast<size_t>(dim_) * n);
-  for (int d = 0; d < dim_; ++d) {
-    double* out = soa_coords_.data() + static_cast<size_t>(d) * n;
-    for (size_t i = 0; i < n; ++i) out[i] = points_[i][d];
-  }
-}
-
-int32_t KdTree::BuildRecursive(const PointSet& input, size_t begin,
-                               size_t end, size_t leaf_size,
+int32_t KdTree::BuildRecursive(size_t begin, size_t end, size_t leaf_size,
+                               KeyedPosition* keyed,
                                std::vector<Topology>* nodes) {
   KDV_DCHECK(begin < end);
   const int32_t id = static_cast<int32_t>(nodes->size());
@@ -83,21 +73,56 @@ int32_t KdTree::BuildRecursive(const PointSet& input, size_t begin,
   (*nodes)[id].begin = static_cast<uint32_t>(begin);
   (*nodes)[id].end = static_cast<uint32_t>(end);
 
-  if (end - begin > leaf_size) {
-    const int split_dim =
-        RangeMbr(input, original_indices_, begin, end, dim_)
-            .WidestDimension();
-    const size_t mid = begin + (end - begin) / 2;
-    std::nth_element(original_indices_.begin() + begin,
-                     original_indices_.begin() + mid,
-                     original_indices_.begin() + end,
-                     [&input, split_dim](uint32_t a, uint32_t b) {
-                       return input[a][split_dim] < input[b][split_dim];
-                     });
+  const size_t count = end - begin;
+  if (count > leaf_size) {
+    const size_t n = num_points();
+    // The slice's MBR, one contiguous scan per column, with Rect::Expand's
+    // min/max in point order.
+    Rect mbr(dim_);
+    for (int d = 0; d < dim_; ++d) {
+      const double* c = coords_.data() + static_cast<size_t>(d) * n;
+      double lo = mbr.lo(d);
+      double hi = mbr.hi(d);
+      for (size_t i = begin; i < end; ++i) {
+        lo = std::min(lo, c[i]);
+        hi = std::max(hi, c[i]);
+      }
+      mbr.set_lo(d, lo);
+      mbr.set_hi(d, hi);
+    }
+    const int split_dim = mbr.WidestDimension();
+
+    // nth_element compares the keys alone, so it makes the moves an index
+    // array compared through the points would make, and the positions then
+    // say where each point went.
+    double* split = coords_.data() + static_cast<size_t>(split_dim) * n + begin;
+    for (size_t k = 0; k < count; ++k) {
+      keyed[k] = {split[k], static_cast<uint32_t>(k)};
+    }
+    const size_t half = count / 2;
+    std::nth_element(
+        keyed, keyed + half, keyed + count,
+        [](const KeyedPosition& a, const KeyedPosition& b) {
+          return a.first < b.first;
+        });
+    // Move every column, then the permutation, to the split order, staging
+    // each in the pairs' own slots: the split column first, from the keys.
+    for (size_t k = 0; k < count; ++k) split[k] = keyed[k].first;
+    for (int d = 0; d < dim_; ++d) {
+      if (d == split_dim) continue;
+      double* c = coords_.data() + static_cast<size_t>(d) * n + begin;
+      for (size_t k = 0; k < count; ++k) keyed[k].first = c[keyed[k].second];
+      for (size_t k = 0; k < count; ++k) c[k] = keyed[k].first;
+    }
+    uint32_t* idx = original_indices_.data() + begin;
+    for (size_t k = 0; k < count; ++k) keyed[k].second = idx[keyed[k].second];
+    for (size_t k = 0; k < count; ++k) idx[k] = keyed[k].second;
+
     // nth_element guarantees begin < mid < end, so both sides are non-empty
     // even when all coordinates along split_dim are equal.
-    int32_t left = BuildRecursive(input, begin, mid, leaf_size, nodes);
-    int32_t right = BuildRecursive(input, mid, end, leaf_size, nodes);
+    const size_t mid = begin + half;
+    int32_t left = BuildRecursive(begin, mid, leaf_size, keyed, nodes);
+    int32_t right = BuildRecursive(mid, end, leaf_size, keyed, nodes);
     (*nodes)[id].left = left;
     (*nodes)[id].right = right;
   }
@@ -105,19 +130,17 @@ int32_t KdTree::BuildRecursive(const PointSet& input, size_t begin,
 }
 
 StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
-    PointSet points, std::vector<uint32_t> original_indices,
-    std::vector<Topology> nodes) {
-  if (points.empty()) return DataLossError("serialized tree has no points");
+    int dim, std::vector<double> columns,
+    std::vector<uint32_t> original_indices, std::vector<Topology> nodes) {
+  const size_t n = original_indices.size();
+  if (n == 0) return DataLossError("serialized tree has no points");
   if (nodes.empty()) return DataLossError("serialized tree has no nodes");
-  if (original_indices.size() != points.size()) {
-    return DataLossError("permutation size does not match point count");
+  if (dim < 1 || dim > kMaxDim) {
+    return DataLossError("serialized dim " + std::to_string(dim) +
+                         " outside [1, " + std::to_string(kMaxDim) + "]");
   }
-  const size_t n = points.size();
-  const int dim = points[0].dim();
-  for (const Point& p : points) {
-    if (p.dim() != dim) {
-      return DataLossError("serialized points have mixed dimensionality");
-    }
+  if (columns.size() != static_cast<size_t>(dim) * n) {
+    return DataLossError("coordinate count does not match point count");
   }
   // The permutation must be a bijection on [0, n).
   std::vector<bool> seen(n, false);
@@ -177,10 +200,9 @@ StatusOr<std::unique_ptr<KdTree>> KdTree::FromSerialized(
 
   std::unique_ptr<KdTree> tree(new KdTree());
   tree->dim_ = dim;
-  tree->points_ = std::move(points);
+  tree->coords_ = std::move(columns);
   tree->original_indices_ = std::move(original_indices);
   tree->FillRecords(nodes);
-  tree->BuildSoA();
   return tree;
 }
 

@@ -21,9 +21,10 @@
 
 namespace kdv {
 
-// Immutable balanced kd-tree. Points are reordered into a contiguous array
-// so each node owns the slice [begin, end). Median splits on the widest MBR
-// dimension give O(log n) depth.
+// Immutable balanced kd-tree. The tree keeps each point once, in one
+// coordinate store: dim columns of num_points() doubles (coords(d)), in tree
+// order, so each node owns the slice [begin, end) of every column. Median
+// splits on the widest MBR dimension give O(log n) depth.
 //
 // Nodes live in one contiguous, 64-byte-aligned array of fixed-stride
 // records, one per node, holding everything a traversal step reads: the
@@ -32,6 +33,11 @@ namespace kdv {
 // to a multiple of 64 bytes, so a record never shares a cache line with its
 // neighbour: 128 bytes (two lines) for 2-d data. No node owns heap memory.
 //
+// Memory: 8·dim + 4 bytes per point (the columns and the permutation) plus
+// one record per node. Leaves hold leaf_size/2 to leaf_size points, so at
+// the default leaf size there is one node per 8 to 16 points: a 2-d point
+// costs 28 to 36 bytes in all.
+//
 // Thread safety: the tree is deeply immutable once the constructor returns
 // (the accessors are all const and there is no caching), so it may be read
 // concurrently without synchronization.
@@ -39,7 +45,7 @@ class KdTree {
  public:
   // The first 16 bytes of every node record.
   struct Topology {
-    uint32_t begin = 0;  // first point index (into points())
+    uint32_t begin = 0;  // first point index (into the columns)
     uint32_t end = 0;    // one past last point index
     int32_t left = -1;   // child node ids; -1 for leaves
     int32_t right = -1;
@@ -63,17 +69,19 @@ class KdTree {
   };
 
   // Builds the tree. `points` must be non-empty with uniform dimensionality.
+  // They are copied into the columns and freed before the build starts.
   explicit KdTree(PointSet points) : KdTree(std::move(points), Options()) {}
   KdTree(PointSet points, Options options);
 
   // Reassembles a tree from serialized parts (see index/serialization.h):
-  // points in tree order, the build permutation, and the node topology
-  // (aggregates are recomputed). Every structural invariant is re-verified;
-  // returns DataLoss with a description of the first violated invariant
-  // rather than trusting the input.
+  // the columns in tree order (coordinate d of point i at
+  // columns[d * n + i], n = original_indices.size()), the build permutation,
+  // and the node topology (aggregates are recomputed). Every structural
+  // invariant is re-verified; returns DataLoss with a description of the
+  // first violated invariant rather than trusting the input.
   static StatusOr<std::unique_ptr<KdTree>> FromSerialized(
-      PointSet points, std::vector<uint32_t> original_indices,
-      std::vector<Topology> nodes);
+      int dim, std::vector<double> columns,
+      std::vector<uint32_t> original_indices, std::vector<Topology> nodes);
 
   KdTree(const KdTree&) = delete;
   KdTree& operator=(const KdTree&) = delete;
@@ -88,7 +96,7 @@ class KdTree {
     return Node{t, NodeStats(rec + kTopologyDoubles, dim_)};
   }
   size_t num_nodes() const { return num_nodes_; }
-  size_t num_points() const { return points_.size(); }
+  size_t num_points() const { return original_indices_.size(); }
   int dim() const { return dim_; }
 
   // The raw record of node `id` (topology, then aggregates), and the record
@@ -99,21 +107,25 @@ class KdTree {
   }
   size_t record_bytes() const { return stride_ * sizeof(double); }
 
-  // Points in tree order; node(id) owns points()[node.begin, node.end).
-  const PointSet& points() const { return points_; }
-
-  // Structure-of-arrays mirror of points(): coordinate d of point i lives at
-  // coords(d)[i], contiguous across i. Built once at construction (and after
-  // FromSerialized); the persisted index format is unchanged. This is the
-  // layout the batched leaf kernels (core/leaf_kernel.h) stream over — the
-  // AoS Point array strides kMaxDim+1 doubles per point, so a 2-d leaf scan
-  // touches ~8x more cache lines than these arrays do.
+  // Column d of the coordinate store: coordinate d of tree-order point i
+  // is coords(d)[i], contiguous across i, and node(id) owns
+  // [node.begin, node.end) of every column. The leaf kernels
+  // (core/leaf_kernel.h) stream these arrays.
   const double* coords(int d) const {
     KDV_DCHECK(d >= 0 && d < dim_);
-    return soa_coords_.data() + static_cast<size_t>(d) * points_.size();
+    return coords_.data() + static_cast<size_t>(d) * num_points();
   }
 
-  // Build permutation: points()[i] was points[original_index(i)] in the
+  // Tree-order point i, assembled from the columns, for callers that need a
+  // Point (a query, a live set); scans read coords(d).
+  Point point(size_t i) const {
+    KDV_DCHECK(i < num_points());
+    Point p(dim_);
+    for (int d = 0; d < dim_; ++d) p[d] = coords(d)[i];
+    return p;
+  }
+
+  // Build permutation: point(i) was points[original_index(i)] in the
   // input. Lets callers attach per-point payloads (labels, regression
   // targets, weights) to the reordered layout.
   uint32_t original_index(size_t i) const { return original_indices_[i]; }
@@ -134,21 +146,24 @@ class KdTree {
 
   KdTree() = default;  // for FromSerialized
 
-  int32_t BuildRecursive(const PointSet& input, size_t begin, size_t end,
-                         size_t leaf_size, std::vector<Topology>* nodes);
-  int DepthRecursive(int32_t id) const;
-  // Allocates the record array and fills every record from `nodes` and
-  // points_ (which must already be in tree order).
-  void FillRecords(const std::vector<Topology>& nodes);
-  // Fills soa_coords_ from points_ (dim-major, num_points-stride).
-  void BuildSoA();
+  // A split key and the position of its point in the node's slice.
+  using KeyedPosition = std::pair<double, uint32_t>;
 
-  PointSet points_;
+  // Splits [begin, end) at its median along its widest dimension, and
+  // recurses, moving every column and original_indices_ in lockstep.
+  // `keyed` is scratch for num_points() entries.
+  int32_t BuildRecursive(size_t begin, size_t end, size_t leaf_size,
+                         KeyedPosition* keyed, std::vector<Topology>* nodes);
+  int DepthRecursive(int32_t id) const;
+  // Allocates the record array and fills every record from `nodes` and the
+  // columns (which must already be in tree order).
+  void FillRecords(const std::vector<Topology>& nodes);
+
+  std::vector<double> coords_;  // dim_ columns of num_points() doubles
   std::vector<uint32_t> original_indices_;
   std::unique_ptr<double[], AlignedFree> records_;
   size_t num_nodes_ = 0;
   size_t stride_ = 0;  // doubles per record
-  std::vector<double> soa_coords_;  // dim_ arrays of num_points() doubles
   int dim_ = 0;
 };
 

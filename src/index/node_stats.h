@@ -54,12 +54,14 @@ class NodeStats {
            static_cast<size_t>(dim) * (dim + 1) / 2;
   }
 
-  // Writes the aggregates of points[0, count) into block, which has
-  // BlockSize(dim) doubles. dim is taken from the first point; count > 0.
-  // With `weights` (weights[i] >= 0 belongs to points[i]) the aggregates
-  // are y-weighted: n is the weight sum. The MBR spans every point either
-  // way.
-  static void Accumulate(const Point* points, size_t count, double* block,
+  // Writes the aggregates of `count` > 0 points into block, which has
+  // BlockSize(dim) doubles. The points are read from dim-major columns:
+  // coordinate d of point i is columns[d * stride + i] (a KdTree's store,
+  // offset to a node's first point, with stride num_points()). With
+  // `weights` (weights[i] >= 0 belongs to point i) the aggregates are
+  // y-weighted: n is the weight sum. The MBR spans every point either way.
+  static void Accumulate(const double* columns, size_t stride, int dim,
+                         size_t count, double* block,
                          const double* weights = nullptr);
 
   // The point count of an unweighted block.

@@ -52,9 +52,10 @@ T ParsePod(const char* data) {
   return value;
 }
 
+// Point-major on disk: the dim coordinates of point 0, then of point 1, ...
 void AppendPointsSection(const KdTree& tree, std::vector<char>* buf) {
-  for (const Point& p : tree.points()) {
-    for (int j = 0; j < tree.dim(); ++j) AppendPod(buf, p[j]);
+  for (size_t i = 0; i < tree.num_points(); ++i) {
+    for (int j = 0; j < tree.dim(); ++j) AppendPod(buf, tree.coords(j)[i]);
   }
 }
 
@@ -186,17 +187,16 @@ Status CheckHeaderBounds(const Header& h, uint64_t actual_payload,
 StatusOr<std::unique_ptr<KdTree>> ParseSections(
     const Header& h, std::vector<char> points_raw,
     std::vector<char> indices_raw, std::vector<char> nodes_raw) {
-  PointSet points;
-  points.reserve(h.num_points);
+  // The points section is point-major; the tree's columns are dim-major.
+  std::vector<double> columns(h.num_points * h.dim);
   const char* cursor = points_raw.data();
   for (uint64_t i = 0; i < h.num_points; ++i) {
-    Point p(static_cast<int>(h.dim));
     for (uint32_t j = 0; j < h.dim; ++j) {
-      p[static_cast<int>(j)] = ParsePod<double>(cursor);
+      columns[j * h.num_points + i] = ParsePod<double>(cursor);
       cursor += sizeof(double);
     }
-    points.push_back(p);
   }
+  points_raw = std::vector<char>();  // freed before the records are built
   std::vector<uint32_t> original_indices(h.num_points);
   cursor = indices_raw.data();
   for (uint64_t i = 0; i < h.num_points; ++i) {
@@ -212,7 +212,7 @@ StatusOr<std::unique_ptr<KdTree>> ParseSections(
     nodes[i].right = ParsePod<int32_t>(cursor + 12);
     cursor += kNodeBytes;
   }
-  return KdTree::FromSerialized(std::move(points),
+  return KdTree::FromSerialized(static_cast<int>(h.dim), std::move(columns),
                                 std::move(original_indices),
                                 std::move(nodes));
 }

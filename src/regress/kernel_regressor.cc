@@ -25,6 +25,16 @@ struct PriorityLess {
   }
 };
 
+// SquaredDistance(q, tree.point(i)), bit for bit, read from the columns.
+double SquaredDistanceTo(const KdTree& tree, const Point& q, size_t i) {
+  double s = 0.0;
+  for (int d = 0; d < tree.dim(); ++d) {
+    const double diff = q[d] - tree.coords(d)[i];
+    s += diff * diff;
+  }
+  return s;
+}
+
 }  // namespace
 
 WeightedAugmentation::WeightedAugmentation(
@@ -41,8 +51,8 @@ WeightedAugmentation::WeightedAugmentation(
   blocks_.resize(tree.num_nodes() * block_size_);
   for (size_t id = 0; id < tree.num_nodes(); ++id) {
     const KdTree::Node node = tree.node(static_cast<int32_t>(id));
-    NodeStats::Accumulate(tree.points().data() + node.begin, node.count(),
-                          blocks_.data() + id * block_size_,
+    NodeStats::Accumulate(tree.coords(0) + node.begin, tree.num_points(),
+                          dim_, node.count(), blocks_.data() + id * block_size_,
                           y_.data() + node.begin);
   }
 }
@@ -65,12 +75,11 @@ KernelRegressor::KernelRegressor(PointSet xs, std::vector<double> ys,
 }
 
 double KernelRegressor::EstimateExact(const Point& q, bool* defined) const {
-  const PointSet& pts = tree_->points();
   const std::vector<double>& y = weights_->y_tree_order();
   double numer = 0.0;
   double denom = 0.0;
-  for (size_t i = 0; i < pts.size(); ++i) {
-    double k = params_.EvalSquaredDistance(SquaredDistance(q, pts[i]));
+  for (size_t i = 0; i < tree_->num_points(); ++i) {
+    double k = params_.EvalSquaredDistance(SquaredDistanceTo(*tree_, q, i));
     numer += y[i] * k;
     denom += k;
   }
@@ -94,7 +103,6 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
   }
 
   const std::vector<double>& y = weights_->y_tree_order();
-  const PointSet& pts = tree_->points();
 
   auto node_bounds = [&](int32_t id) {
     QueueEntry e;
@@ -145,7 +153,8 @@ KernelRegressor::Result KernelRegressor::Estimate(const Point& q,
     if (node.IsLeaf()) {
       double exact_n = 0.0, exact_d = 0.0;
       for (uint32_t i = node.begin; i < node.end; ++i) {
-        double k = params_.EvalSquaredDistance(SquaredDistance(q, pts[i]));
+        double k =
+            params_.EvalSquaredDistance(SquaredDistanceTo(*tree_, q, i));
         exact_n += y[i] * k;
         exact_d += k;
       }

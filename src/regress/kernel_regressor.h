@@ -40,7 +40,7 @@ class WeightedAugmentation {
                      dim_);
   }
 
-  // Targets in tree order: y_tree_order()[i] belongs to tree.points()[i].
+  // Targets in tree order: y_tree_order()[i] belongs to tree.point(i).
   const std::vector<double>& y_tree_order() const { return y_; }
 
  private:

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <vector>
 
-#include "data/datasets.h"
 #include "geom/morton.h"
 #include "util/check.h"
 
@@ -22,28 +21,38 @@ size_t ZorderSampleSize(double eps, double delta, size_t n,
   return std::min(n, static_cast<size_t>(std::ceil(m)));
 }
 
-PointSet ZorderSample(const PointSet& points, size_t m) {
-  KDV_CHECK(!points.empty());
-  KDV_CHECK(points[0].dim() >= 2);
-  m = std::clamp<size_t>(m, 1, points.size());
-  if (m == points.size()) return points;
+PointSet ZorderSample(const KdTree& tree, size_t m) {
+  KDV_CHECK(tree.dim() >= 2);
+  const size_t n = tree.num_points();
+  m = std::clamp<size_t>(m, 1, n);
+  PointSet sample;
+  sample.reserve(m);
+  if (m == n) {
+    for (size_t i = 0; i < n; ++i) sample.push_back(tree.point(i));
+    return sample;
+  }
 
-  Rect box = BoundingBox(points);
-  std::vector<std::pair<uint64_t, uint32_t>> keyed(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    keyed[i] = {MortonCodeForPoint(points[i], box), static_cast<uint32_t>(i)};
+  // The root's MBR is the bounding box of every point.
+  const RectView root = tree.node(tree.root()).stats.mbr();
+  Rect box(tree.dim());
+  for (int d = 0; d < tree.dim(); ++d) {
+    box.set_lo(d, root.lo(d));
+    box.set_hi(d, root.hi(d));
+  }
+  std::vector<std::pair<uint64_t, uint32_t>> keyed(n);
+  for (size_t i = 0; i < n; ++i) {
+    keyed[i] = {MortonCodeForPoint(tree.point(i), box),
+                static_cast<uint32_t>(i)};
   }
   std::sort(keyed.begin(), keyed.end());
 
   // Systematic sampling along the curve: one representative per stratum of
   // n/m consecutive curve positions.
-  PointSet sample;
-  sample.reserve(m);
-  const double stride = static_cast<double>(points.size()) / m;
+  const double stride = static_cast<double>(n) / m;
   for (size_t i = 0; i < m; ++i) {
     size_t pos = static_cast<size_t>(i * stride + stride / 2.0);
-    pos = std::min(pos, points.size() - 1);
-    sample.push_back(points[keyed[pos].second]);
+    pos = std::min(pos, n - 1);
+    sample.push_back(tree.point(keyed[pos].second));
   }
   return sample;
 }

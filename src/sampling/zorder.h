@@ -12,6 +12,7 @@
 #include <cstddef>
 
 #include "geom/point.h"
+#include "index/kdtree.h"
 #include "kernel/kernel.h"
 
 namespace kdv {
@@ -25,9 +26,10 @@ namespace kdv {
 size_t ZorderSampleSize(double eps, double delta, size_t n,
                         double rel_to_abs = 3.0);
 
-// Systematic Z-order sample of m points (2-d; extra dimensions ride along).
-// Deterministic. m is clamped to [1, points.size()].
-PointSet ZorderSample(const PointSet& points, size_t m);
+// Systematic Z-order sample of m of the tree's points (2-d; extra
+// dimensions ride along). Deterministic: curve ties break by tree order.
+// m is clamped to [1, tree.num_points()].
+PointSet ZorderSample(const KdTree& tree, size_t m);
 
 // Rescales the per-point weight so the sampled aggregate estimates the full
 // aggregate: w' = w * n / m.

@@ -216,6 +216,16 @@ Status ApplyBatch(PointSet* live, JournalOp op, const PointSet& batch) {
   return InternalError("unknown journal op");
 }
 
+// The tree's points in tree order: the live set an index file stands for.
+PointSet TreeOrderPoints(const KdTree& tree) {
+  PointSet points;
+  points.reserve(tree.num_points());
+  for (size_t i = 0; i < tree.num_points(); ++i) {
+    points.push_back(tree.point(i));
+  }
+  return points;
+}
+
 StatusOr<std::unique_ptr<KdTree>> BuildTree(const PointSet& points,
                                             size_t leaf_size) {
   if (points.empty()) {
@@ -401,7 +411,7 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
                        Journal::Open(WalDir(options.state_dir),
                                      manifest.journal_floor, options.journal));
 
-  PointSet live = tree->points();
+  PointSet live = TreeOrderPoints(*tree);
   Status replayed = journal->Replay(
       [&live](JournalOp op, const PointSet& batch) {
         return ApplyBatch(&live, op, batch);
@@ -411,7 +421,7 @@ StatusOr<RecoveredState> RecoveryManager::Recover(
     if (replayed.code() != StatusCode::kDataLoss) return replayed;
     // Mid-journal corruption (not a crash artifact). The index itself is
     // good; serve it without the journaled tail rather than die.
-    live = tree->points();
+    live = TreeOrderPoints(*tree);
     rep->journal_stats = JournalReplayStats();
     journal.reset();
     const uint64_t floor = QuarantineJournal(options.state_dir, rep);

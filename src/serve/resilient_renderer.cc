@@ -104,7 +104,7 @@ std::shared_ptr<const GridKde> ResilientRenderer::CoarseKde(
       coarse_opts_.truncation != opts.truncation ||
       coarse_opts_.precompute != opts.precompute) {
     coarse_cache_ = std::make_shared<const GridKde>(
-        evaluator_->tree().points(), evaluator_->params(), domain, opts);
+        evaluator_->tree(), evaluator_->params(), domain, opts);
     coarse_domain_ = domain;
     coarse_opts_ = opts;
   }

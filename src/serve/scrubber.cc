@@ -154,12 +154,14 @@ Status IntegrityScrubber::PixelOracleTick(std::string* corrupt_reason) {
   if (options_.pixel_samples_per_tick <= 0) return OkStatus();
   const KdeEvaluator* evaluator = evaluator_ != nullptr ? evaluator_() : nullptr;
   if (evaluator == nullptr) return OkStatus();
-  const PointSet& points = evaluator->tree().points();
-  if (points.empty() || evaluator->bounds() == nullptr) return OkStatus();
+  const KdTree& tree = evaluator->tree();
+  if (tree.num_points() == 0 || evaluator->bounds() == nullptr) {
+    return OkStatus();
+  }
 
   for (int i = 0; i < options_.pixel_samples_per_tick; ++i) {
-    const size_t idx = NextRand(&rng_state_) % points.size();
-    const Point& q = points[idx];
+    const size_t idx = NextRand(&rng_state_) % tree.num_points();
+    const Point q = tree.point(idx);
     EvalResult certified = evaluator->EvaluateEps(q, options_.pixel_eps);
     const double exact = evaluator->EvaluateExact(q);
     {

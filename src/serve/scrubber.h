@@ -16,8 +16,8 @@
 //     re-baselines instead of alarming.
 //
 //   * Pixel oracle check: samples random indexed points and evaluates each
-//     through the certified bound path (EvaluateEps) and the exact
-//     LeafSumAoS oracle (EvaluateExact). The quadratic bounds make this
+//     through the certified bound path (EvaluateEps) and the exact scan
+//     (EvaluateExact). The quadratic bounds make this
 //     cross-check nearly free: the exact value must lie inside the
 //     certified [lower, upper] interval (within floating-point tolerance).
 //     A violation means the tree, its node statistics, or the bound

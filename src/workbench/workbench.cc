@@ -95,7 +95,7 @@ KdeEvaluator Workbench::MakeZorderEvaluator(double eps, double delta) {
   auto it = zorder_cache_.find(m);
   if (it == zorder_cache_.end()) {
     ZorderContext ctx;
-    PointSet sample = ZorderSample(tree_->points(), m);
+    PointSet sample = ZorderSample(*tree_, m);
     ctx.params = ScaleWeightForSample(params_, n, sample.size());
     KdTree::Options tree_options;
     tree_options.leaf_size = options_.leaf_size;

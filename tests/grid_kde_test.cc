@@ -1,4 +1,5 @@
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -15,14 +16,15 @@ namespace {
 TEST(GridKdeTest, TruncationRadiusPerKernel) {
   PointSet pts = GenerateMixture(MixtureSpec{});
   Rect domain = BoundingBox(pts);
+  KdTree tree(std::move(pts));
 
   KernelParams gaussian{KernelType::kGaussian, 4.0, 1.0};
-  GridKde g(pts, gaussian, domain, GridKde::Options{});
+  GridKde g(tree, gaussian, domain, GridKde::Options{});
   // exp(-gamma d^2) < 1e-4 at d = sqrt(ln(1e4)/4).
   EXPECT_NEAR(g.truncation_radius(), std::sqrt(std::log(1e4) / 4.0), 1e-9);
 
   KernelParams triangular{KernelType::kTriangular, 4.0, 1.0};
-  GridKde t(pts, triangular, domain, GridKde::Options{});
+  GridKde t(tree, triangular, domain, GridKde::Options{});
   EXPECT_NEAR(t.truncation_radius(), 1.0 / 4.0, 1e-12);  // support edge / γ
 }
 
@@ -37,7 +39,7 @@ TEST(GridKdeTest, AccuracyImprovesWithGridResolution) {
   for (int g : {16, 64, 256}) {
     GridKde::Options options;
     options.grid_size = g;
-    GridKde approx(bench.tree().points(), bench.params(),
+    GridKde approx(bench.tree(), bench.params(),
                    bench.data_bounds(), options);
     DensityFrame frame = approx.RenderFrame(grid);
     double err = AverageRelativeError(frame.values, truth.values, floor);
@@ -59,7 +61,7 @@ TEST(GridKdeTest, NoGuaranteeUnlikeBoundMethods) {
 
   GridKde::Options options;
   options.grid_size = 8;
-  GridKde approx(bench.tree().points(), bench.params(), bench.data_bounds(),
+  GridKde approx(bench.tree(), bench.params(), bench.data_bounds(),
                  options);
   DensityFrame frame = approx.RenderFrame(grid);
   EXPECT_GT(MaxRelativeError(frame.values, truth.values, floor), 0.01);
@@ -70,14 +72,14 @@ TEST(GridKdeTest, MassIsApproximatelyConserved) {
   // total binned weight equals n * w per evaluation of a covering integral;
   // check the simpler invariant: density at a far point is ~0 and at the
   // single bin's center equals count * w * K(within-cell offset).
-  PointSet pts(100, Point{0.5, 0.5});
+  KdTree tree(PointSet(100, Point{0.5, 0.5}));
   Rect domain(2);
   domain.Expand(Point{0.0, 0.0});
   domain.Expand(Point{1.0, 1.0});
   KernelParams params{KernelType::kGaussian, 10.0, 0.01};
   GridKde::Options options;
   options.grid_size = 64;
-  GridKde g(pts, params, domain, options);
+  GridKde g(tree, params, domain, options);
 
   // All 100 points share one cell; its center is within half a cell of
   // (0.5, 0.5).
@@ -97,10 +99,10 @@ TEST(GridKdeTest, PrecomputeMatchesDirectEvaluation) {
 
   GridKde::Options options;
   options.grid_size = 128;
-  GridKde direct(bench.tree().points(), bench.params(), bench.data_bounds(),
+  GridKde direct(bench.tree(), bench.params(), bench.data_bounds(),
                  options);
   options.precompute = true;
-  GridKde tabled(bench.tree().points(), bench.params(), bench.data_bounds(),
+  GridKde tabled(bench.tree(), bench.params(), bench.data_bounds(),
                  options);
 
   DensityFrame direct_frame = direct.RenderFrame(grid);
@@ -134,7 +136,7 @@ TEST(GridKdeTest, MuchFasterThanExactOnLargeData) {
   PixelGrid grid(64, 48, bench.data_bounds());
 
   Timer build_timer;
-  GridKde approx(bench.tree().points(), bench.params(), bench.data_bounds(),
+  GridKde approx(bench.tree(), bench.params(), bench.data_bounds(),
                  GridKde::Options{});
   DensityFrame frame = approx.RenderFrame(grid);
   double grid_time = build_timer.ElapsedSeconds();

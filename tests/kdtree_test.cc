@@ -2,13 +2,20 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "data/datasets.h"
 #include "index/kdtree.h"
+#include "index/serialization.h"
+#include "util/crc32.h"
 #include "util/random.h"
 
 namespace kdv {
@@ -38,7 +45,9 @@ TEST(KdTreeTest, TreeIsAPermutationOfInput) {
   auto key = [](const Point& p) { return std::make_pair(p[0], p[1]); };
   std::vector<std::pair<double, double>> a, b;
   for (const Point& p : pts) a.push_back(key(p));
-  for (const Point& p : tree.points()) b.push_back(key(p));
+  for (size_t i = 0; i < tree.num_points(); ++i) {
+    b.push_back(key(tree.point(i)));
+  }
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   EXPECT_EQ(a, b);
@@ -83,7 +92,7 @@ TEST(KdTreeTest, NodeStatsConsistentWithOwnedSlice) {
     const KdTree::Node& n = tree.node(static_cast<int32_t>(i));
     double brute = 0.0;
     for (uint32_t j = n.begin; j < n.end; ++j) {
-      brute += SquaredDistance(q, tree.points()[j]);
+      brute += SquaredDistance(q, tree.point(j));
     }
     EXPECT_NEAR(n.stats.SumSquaredDistances(q), brute,
                 1e-9 * std::max(1.0, brute));
@@ -176,7 +185,7 @@ TEST_P(NodeRecordTest, AggregatesEqualBruteForceOverSlice) {
     std::vector<double> a(d, 0.0), v(d, 0.0), c(d * d, 0.0);
     double b = 0.0, h = 0.0;
     for (uint32_t i = node.begin; i < node.end; ++i) {
-      const Point& p = tree.points()[i];
+      const Point p = tree.point(i);
       mbr.Expand(p);
       const double sq = p.SquaredNorm();
       b += sq;
@@ -236,6 +245,128 @@ TEST_P(NodeRecordTest, RecordsAreAlignedWithWholeLineStride) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, NodeRecordTest,
                          ::testing::Values(1, 2, 3, 5, 16));
+
+// Golden index suite: fixed-seed trees whose tree-order coordinates, build
+// permutation and node records (padding included) are pinned to CRC32s. The
+// constants were recorded from the reference implementation (an index-array
+// split over Points); the kd-tree build may be rewritten for speed or
+// memory, but never so that one split, one position or one aggregate bit
+// moves (the golden frames, the index files on disk and the benchmark's work
+// counts all follow from these bytes). A mismatch prints the new
+// {columns, permutation, records} tuple.
+struct IndexGolden {
+  uint32_t columns = 0;
+  uint32_t permutation = 0;
+  uint32_t records = 0;
+};
+
+std::string Describe(const IndexGolden& g) {
+  return "{" + std::to_string(g.columns) + "u, " +
+         std::to_string(g.permutation) + "u, " + std::to_string(g.records) +
+         "u}";
+}
+
+IndexGolden Fingerprint(const KdTree& tree) {
+  IndexGolden g;
+  for (int d = 0; d < tree.dim(); ++d) {
+    g.columns = Crc32Update(g.columns, tree.coords(d),
+                            tree.num_points() * sizeof(double));
+  }
+  g.permutation = Crc32(tree.original_indices().data(),
+                        tree.num_points() * sizeof(uint32_t));
+  g.records = Crc32(tree.record(tree.root()),
+                    tree.num_nodes() * tree.record_bytes());
+  return g;
+}
+
+struct GoldenIndexCase {
+  const char* name;
+  PointSet (*make_points)();
+  size_t leaf_size;
+  IndexGolden golden;
+};
+
+PointSet MixtureOfDim(int dim, size_t n, uint64_t seed) {
+  MixtureSpec spec;
+  spec.n = n;
+  spec.dim = dim;
+  spec.seed = seed;
+  return GenerateMixture(spec);
+}
+
+// Coordinates on a 5 x 3 lattice, each site repeated ~130 times: most
+// nth_element calls compare equal keys.
+PointSet HeavyDuplicates() {
+  Rng rng(91);
+  PointSet pts;
+  for (int i = 0; i < 2000; ++i) {
+    pts.push_back(Point{0.25 * static_cast<double>(rng.NextUint64() % 5),
+                        static_cast<double>(rng.NextUint64() % 3)});
+  }
+  return pts;
+}
+
+const GoldenIndexCase kGoldenIndexCases[] = {
+    {"crime_0_01", [] { return GenerateMixture(CrimeSpec(0.01)); }, 32,
+     {3872226911u, 696987874u, 195999798u}},
+    {"mixture_3d", [] { return MixtureOfDim(3, 5000, 17); }, 32,
+     {3876175577u, 2847824451u, 891010609u}},
+    {"mixture_10d", [] { return MixtureOfDim(10, 3000, 23); }, 32,
+     {672028752u, 476860756u, 2275272917u}},
+    {"leaf_size_1", [] { return RandomPoints(3000, 29); }, 1,
+     {2590159473u, 3649109007u, 29950498u}},
+    {"heavy_duplicates", HeavyDuplicates, 4,
+     {4242242366u, 1681945121u, 3365833580u}},
+};
+
+void PrintTo(const GoldenIndexCase& c, std::ostream* os) { *os << c.name; }
+
+class GoldenIndexTest : public ::testing::TestWithParam<GoldenIndexCase> {};
+
+TEST_P(GoldenIndexTest, BuildMatchesRecordedBytes) {
+  const GoldenIndexCase& c = GetParam();
+  KdTree::Options options;
+  options.leaf_size = c.leaf_size;
+  KdTree tree(c.make_points(), options);
+  const IndexGolden got = Fingerprint(tree);
+  EXPECT_EQ(got.columns, c.golden.columns) << c.name << ": " << Describe(got);
+  EXPECT_EQ(got.permutation, c.golden.permutation)
+      << c.name << ": " << Describe(got);
+  EXPECT_EQ(got.records, c.golden.records) << c.name << ": " << Describe(got);
+}
+
+TEST_P(GoldenIndexTest, ReloadedRecordsEqualBuiltRecordsBitwise) {
+  const GoldenIndexCase& c = GetParam();
+  KdTree::Options options;
+  options.leaf_size = c.leaf_size;
+  KdTree tree(c.make_points(), options);
+  for (uint32_t version : {1u, 2u}) {
+    const std::string path = ::testing::TempDir() + "/golden_index_" +
+                             c.name + "_v" + std::to_string(version) + ".kdv";
+    ASSERT_TRUE(SaveKdTree(tree, path, version).ok());
+    StatusOr<std::unique_ptr<KdTree>> loaded = LoadKdTree(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const KdTree& back = **loaded;
+    ASSERT_EQ(back.num_nodes(), tree.num_nodes());
+    ASSERT_EQ(back.record_bytes(), tree.record_bytes());
+    EXPECT_EQ(std::memcmp(back.record(back.root()), tree.record(tree.root()),
+                          tree.num_nodes() * tree.record_bytes()),
+              0)
+        << c.name << " v" << version;
+    const IndexGolden a = Fingerprint(tree);
+    const IndexGolden b = Fingerprint(back);
+    EXPECT_EQ(b.columns, a.columns) << c.name << " v" << version;
+    EXPECT_EQ(b.permutation, a.permutation) << c.name << " v" << version;
+    EXPECT_EQ(b.records, a.records) << c.name << " v" << version;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trees, GoldenIndexTest, ::testing::ValuesIn(kGoldenIndexCases),
+    [](const ::testing::TestParamInfo<GoldenIndexCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace kdv

@@ -791,10 +791,21 @@ TEST(SimdDispatchTest, SetLevelClampsToHardwareMax) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA leaf kernel vs AoS scalar loop
+// SoA leaf kernel vs the reference point-by-point loop
 // ---------------------------------------------------------------------------
 
-TEST(LeafKernelTest, SoAMatchesAoSBitwiseOnEveryLeaf) {
+// The reference leaf sum: point by point in index order, SquaredDistance and
+// then the kernel profile, times the weight.
+double ReferenceLeafSum(const KdTree& tree, const KernelParams& params,
+                        uint32_t begin, uint32_t end, const Point& q) {
+  double sum = 0.0;
+  for (uint32_t i = begin; i < end; ++i) {
+    sum += params.EvalSquaredDistance(SquaredDistance(q, tree.point(i)));
+  }
+  return params.weight * sum;
+}
+
+TEST(LeafKernelTest, SoAMatchesReferenceLoopBitwiseOnEveryLeaf) {
   const KernelType kernels[] = {
       KernelType::kGaussian, KernelType::kEpanechnikov,
       KernelType::kExponential, KernelType::kQuartic, KernelType::kUniform,
@@ -819,16 +830,18 @@ TEST(LeafKernelTest, SoAMatchesAoSBitwiseOnEveryLeaf) {
         for (size_t n = 0; n < tree.num_nodes(); ++n) {
           const KdTree::Node& node = tree.node(static_cast<int32_t>(n));
           if (!node.IsLeaf()) continue;
-          const double aos = LeafSumAoS(tree, params, node.begin, node.end, q);
+          const double ref =
+              ReferenceLeafSum(tree, params, node.begin, node.end, q);
           const double soa = LeafSumSoA(tree, params, node.begin, node.end, q);
-          ASSERT_EQ(Bits(aos), Bits(soa))
+          ASSERT_EQ(Bits(ref), Bits(soa))
               << "dim=" << dim << " kernel=" << KernelTypeName(kernel)
-              << " node=" << n << ": " << aos << " vs " << soa;
+              << " node=" << n << ": " << ref << " vs " << soa;
         }
         // Whole-tree scan (the EXACT method path) spans many chunks.
         const KdTree::Node& root = tree.node(tree.root());
-        ASSERT_EQ(Bits(LeafSumAoS(tree, params, root.begin, root.end, q)),
-                  Bits(LeafSumSoA(tree, params, root.begin, root.end, q)));
+        ASSERT_EQ(
+            Bits(ReferenceLeafSum(tree, params, root.begin, root.end, q)),
+            Bits(LeafSumSoA(tree, params, root.begin, root.end, q)));
       }
     }
   }

@@ -16,8 +16,14 @@ namespace {
 // The y-weighted aggregates of `pts`, in a block of their own.
 std::vector<double> WeightedBlock(const PointSet& pts,
                                   const std::vector<double>& y) {
-  std::vector<double> block(NodeStats::BlockSize(pts[0].dim()));
-  NodeStats::Accumulate(pts.data(), pts.size(), block.data(), y.data());
+  const int dim = pts[0].dim();
+  const size_t n = pts.size();
+  std::vector<double> columns(static_cast<size_t>(dim) * n);
+  for (size_t i = 0; i < n; ++i) {
+    for (int d = 0; d < dim; ++d) columns[d * n + i] = pts[i][d];
+  }
+  std::vector<double> block(NodeStats::BlockSize(dim));
+  NodeStats::Accumulate(columns.data(), n, dim, n, block.data(), y.data());
   return block;
 }
 
@@ -103,7 +109,7 @@ TEST(WeightedAugmentationTest, AppliesTreePermutation) {
   // y in tree order must track the permuted points.
   for (size_t i = 0; i < tree.num_points(); ++i) {
     uint32_t orig = tree.original_index(i);
-    EXPECT_EQ(tree.points()[i], pts[orig]);
+    EXPECT_EQ(tree.point(i), pts[orig]);
     EXPECT_DOUBLE_EQ(aug.y_tree_order()[i], y[orig]);
   }
   // Root weighted sum = Σ y.

@@ -55,10 +55,13 @@ void ExpectTreesEqual(const KdTree& a, const KdTree& b) {
   ASSERT_EQ(b.num_nodes(), a.num_nodes());
   EXPECT_EQ(b.dim(), a.dim());
   EXPECT_EQ(b.Depth(), a.Depth());
-  for (size_t i = 0; i < a.num_points(); ++i) {
-    EXPECT_EQ(b.points()[i], a.points()[i]);
-    EXPECT_EQ(b.original_index(i), a.original_index(i));
+  for (int d = 0; d < a.dim(); ++d) {
+    EXPECT_EQ(std::memcmp(b.coords(d), a.coords(d),
+                          a.num_points() * sizeof(double)),
+              0)
+        << "column " << d;
   }
+  EXPECT_EQ(b.original_indices(), a.original_indices());
   for (size_t i = 0; i < a.num_nodes(); ++i) {
     const KdTree::Node& na = a.node(static_cast<int32_t>(i));
     const KdTree::Node& nb = b.node(static_cast<int32_t>(i));
@@ -216,6 +219,16 @@ TEST(SerializationTest, RejectsFutureFormatVersion) {
   std::remove(path.c_str());
 }
 
+// The tree's columns, as FromSerialized takes them.
+std::vector<double> Columns(const KdTree& tree) {
+  std::vector<double> columns;
+  for (int d = 0; d < tree.dim(); ++d) {
+    columns.insert(columns.end(), tree.coords(d),
+                   tree.coords(d) + tree.num_points());
+  }
+  return columns;
+}
+
 TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   PointSet pts = GenerateMixture(MixtureSpec{});
   KdTree tree{PointSet(pts)};
@@ -230,7 +243,8 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   {
     std::vector<uint32_t> idx = tree.original_indices();
     idx[0] = idx[1];
-    auto result = KdTree::FromSerialized(PointSet(tree.points()), idx, nodes);
+    auto result =
+        KdTree::FromSerialized(tree.dim(), Columns(tree), idx, nodes);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
     EXPECT_NE(result.status().message().find("permutation"),
@@ -240,7 +254,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   if (!nodes[0].IsLeaf()) {
     std::vector<KdTree::Topology> bad = nodes;
     bad[bad[0].left].end -= 1;
-    auto result = KdTree::FromSerialized(PointSet(tree.points()),
+    auto result = KdTree::FromSerialized(tree.dim(), Columns(tree),
                                          tree.original_indices(), bad);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
@@ -250,7 +264,7 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
     std::vector<KdTree::Topology> bad = nodes;
     bad[bad[0].left].left = 0;
     bad[bad[0].left].right = 0;
-    auto result = KdTree::FromSerialized(PointSet(tree.points()),
+    auto result = KdTree::FromSerialized(tree.dim(), Columns(tree),
                                          tree.original_indices(), bad);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
@@ -259,13 +273,22 @@ TEST(SerializationTest, FromSerializedRejectsCorruptStructure) {
   {
     std::vector<KdTree::Topology> bad = nodes;
     bad[0].end -= 1;
-    auto result = KdTree::FromSerialized(PointSet(tree.points()),
+    auto result = KdTree::FromSerialized(tree.dim(), Columns(tree),
                                          tree.original_indices(), bad);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
   }
+  // (e) Columns that do not hold dim coordinates per point.
+  {
+    std::vector<double> short_columns = Columns(tree);
+    short_columns.pop_back();
+    auto result = KdTree::FromSerialized(tree.dim(), short_columns,
+                                         tree.original_indices(), nodes);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  }
   // Sanity: unmodified parts load fine.
-  EXPECT_TRUE(KdTree::FromSerialized(PointSet(tree.points()),
+  EXPECT_TRUE(KdTree::FromSerialized(tree.dim(), Columns(tree),
                                      tree.original_indices(), nodes)
                   .ok());
 }

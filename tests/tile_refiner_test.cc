@@ -53,10 +53,16 @@ std::unique_ptr<Workbench> MakeBench(
 }
 
 // Exact contribution of one subtree to F_P(q): the node's points are
-// contiguous in the tree's point order.
+// contiguous in the tree's point order. Point by point in index order,
+// SquaredDistance and then the kernel profile, independent of the leaf
+// kernel.
 double ExactNodeSum(const KdTree& tree, const KernelParams& params,
                     const KdTree::Node& node, const Point& q) {
-  return LeafSumAoS(tree, params, node.begin, node.end, q);
+  double sum = 0.0;
+  for (uint32_t i = node.begin; i < node.end; ++i) {
+    sum += params.EvalSquaredDistance(SquaredDistance(q, tree.point(i)));
+  }
+  return params.weight * sum;
 }
 
 // A random query rect somewhere around the data domain, including rects

@@ -33,7 +33,7 @@ TEST(ZorderSampleSizeTest, AtLeastOne) {
 
 TEST(ZorderSampleTest, ExactSizeAndMembership) {
   PointSet pts = GenerateMixture(CrimeSpec(0.005));
-  PointSet sample = ZorderSample(pts, 200);
+  PointSet sample = ZorderSample(KdTree(PointSet(pts)), 200);
   ASSERT_EQ(sample.size(), 200u);
   for (size_t i = 0; i < 10; ++i) {
     bool found = false;
@@ -48,15 +48,18 @@ TEST(ZorderSampleTest, ExactSizeAndMembership) {
 }
 
 TEST(ZorderSampleTest, FullSampleIsIdentity) {
-  PointSet pts = GenerateMixture(MixtureSpec{});
-  PointSet sample = ZorderSample(pts, pts.size());
-  EXPECT_EQ(sample.size(), pts.size());
+  KdTree tree(GenerateMixture(MixtureSpec{}));
+  PointSet sample = ZorderSample(tree, tree.num_points());
+  ASSERT_EQ(sample.size(), tree.num_points());
+  for (size_t i = 0; i < sample.size(); ++i) {
+    EXPECT_EQ(sample[i], tree.point(i));
+  }
 }
 
 TEST(ZorderSampleTest, Deterministic) {
-  PointSet pts = GenerateMixture(MixtureSpec{});
-  PointSet a = ZorderSample(pts, 100);
-  PointSet b = ZorderSample(pts, 100);
+  KdTree tree(GenerateMixture(MixtureSpec{}));
+  PointSet a = ZorderSample(tree, 100);
+  PointSet b = ZorderSample(tree, 100);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
@@ -70,7 +73,7 @@ TEST(ZorderSampleTest, PreservesSpatialCoverage) {
   spec.noise_fraction = 0.0;
   spec.seed = 123;
   PointSet pts = GenerateMixture(spec);
-  PointSet sample = ZorderSample(pts, 50);
+  PointSet sample = ZorderSample(KdTree(PointSet(pts)), 50);
 
   Rect box = BoundingBox(pts);
   int left = 0, right = 0;
@@ -103,11 +106,11 @@ TEST(ZorderQualityTest, SampleEstimatesFullDensity) {
   PointSet pts = GenerateMixture(HomeSpec(0.01));
   KernelParams params = MakeScottParams(KernelType::kGaussian, pts);
 
-  PointSet sample = ZorderSample(pts, 2000);
+  KdTree full_tree{PointSet(pts)};
+  PointSet sample = ZorderSample(full_tree, 2000);
   KernelParams sample_params =
       ScaleWeightForSample(params, pts.size(), sample.size());
 
-  KdTree full_tree{PointSet(pts)};
   KdTree sample_tree(std::move(sample));
   KdeEvaluator full(&full_tree, params, nullptr);
   KdeEvaluator reduced(&sample_tree, sample_params, nullptr);

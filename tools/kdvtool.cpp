@@ -1505,7 +1505,11 @@ std::vector<Command> Commands() {
               F::Int("swap-after", "hot-swap after N requests").AtLeast(0),
               F::Uint64("seed", "client backoff jitter seed", 0xC11E47),
               F::Bool("governor", "brownout under overload"),
-              F::Double("mem-budget-mb", "memory budget", 0.0).AtLeast(0),
+              // Converted to a uint64_t byte count: 1e12 MiB keeps it
+              // below 2^64 bytes.
+              F::Double("mem-budget-mb", "memory budget", 0.0)
+                  .AtLeast(0)
+                  .AtMost(1e12),
               F::Double("queue-wait-sat-ms", "saturation", 500.0).Above(0),
               F::Bool("watchdog", "force-cancel wedged renders"),
               F::Double("watchdog-multiple", "N x budget", 2.0).Above(0),
