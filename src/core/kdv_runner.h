@@ -32,7 +32,10 @@ struct BatchStats {
   uint64_t tile_pruned = 0;          // subtrees discarded tile-wide
   uint64_t tiles_decided = 0;        // tiles finished with zero per-pixel work
   uint64_t pixels_decided = 0;       // pixels those tiles filled (in queries)
-  uint64_t frontier_cache_hits = 0;  // frames served from a cached frontier
+  // Frames served from the serve layer's frame cache (serve/frame_cache.h),
+  // which then did no work; the frame driver itself never caches. The name
+  // is older than that cache and kept, as the benchmark suite reads it.
+  uint64_t frontier_cache_hits = 0;
   // Time inside tile region passes, summed across tiles (CPU seconds, not
   // wall time; measured through the clock seam, so 0 under the simulator's
   // virtual clock). Feeds the tile_pass trace stage and obs histograms.

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace kdv {
 
@@ -91,16 +92,32 @@ Status ValidatePointSet(PointSet* points, const ValidateOptions& options,
         "dataset has no usable points after dropping non-finite rows");
   }
 
-  // Duplicate census over a sorted index permutation (the point order the
-  // caller hands to the kd-tree builder is preserved).
-  std::vector<uint32_t> order(points->size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return LexLess((*points)[a], (*points)[b]);
-  });
-  for (size_t i = 1; i < order.size(); ++i) {
-    if ((*points)[order[i]] == (*points)[order[i - 1]]) {
-      ++local.duplicate_points;
+  // Duplicate census (the point order the caller hands to the kd-tree
+  // builder is preserved). Sorting (first coordinate, index) pairs keeps the
+  // sort inside a compact array; whole points are read only within runs of
+  // equal first coordinate, where they are sorted and compared in full.
+  // Doubles compare as Point::operator== does, so ±0.0 are equal.
+  std::vector<std::pair<double, uint32_t>> keyed(points->size());
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    keyed[i] = {(*points)[i][0], static_cast<uint32_t>(i)};
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<uint32_t> run;
+  for (size_t begin = 0, end = 0; begin < keyed.size(); begin = end) {
+    end = begin + 1;
+    while (end < keyed.size() && keyed[end].first == keyed[begin].first) {
+      ++end;
+    }
+    if (end - begin < 2) continue;
+    run.clear();
+    for (size_t k = begin; k < end; ++k) run.push_back(keyed[k].second);
+    std::sort(run.begin(), run.end(), [&](uint32_t a, uint32_t b) {
+      return LexLess((*points)[a], (*points)[b]);
+    });
+    for (size_t k = 1; k < run.size(); ++k) {
+      if ((*points)[run[k]] == (*points)[run[k - 1]]) {
+        ++local.duplicate_points;
+      }
     }
   }
   if (options.max_duplicate_fraction < 1.0 && points->size() > 1) {

@@ -112,6 +112,7 @@ std::string ExportJson(const MetricsSnapshot& snapshot) {
     }
     w.Key("tier").Value(span.tier);
     w.Key("attempts").Value(span.attempts);
+    w.Key("frame_cache_hit").Value(span.frame_cache_hit);
     w.Key("ok").Value(span.ok);
     w.Key("total_seconds").Value(span.total_seconds);
     w.Key("stages").BeginObject();

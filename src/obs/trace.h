@@ -14,8 +14,9 @@
 //   scrub       — final non-finite scrub of the outgoing frame
 //   backoff     — retry backoff sleeps
 //
-// The epoch id and the delivered degradation tier ride along, so one span
-// answers "why was this request slow and what did it actually get".
+// The epoch id, the delivered degradation tier and whether the frame came
+// from the epoch's frame cache ride along, so one span answers "why was
+// this request slow and what did it actually get".
 //
 // All durations are measured by the caller through util/clock.h (Timer on
 // CurrentClock), never by this header — that keeps spans deterministic
@@ -62,6 +63,9 @@ struct TraceSpan {
   const char* tier = "";
 
   int attempts = 0;
+  // The frame shipped as a copy from the epoch renderer's frame cache
+  // (serve/frame_cache.h): no refinement ran for it.
+  bool frame_cache_hit = false;
   bool ok = false;
   double total_seconds = 0.0;
   double stage_seconds[kNumTraceStages] = {};

@@ -38,6 +38,7 @@
 #include "progressive/progressive.h"
 #include "regress/kernel_regressor.h"
 #include "sampling/zorder.h"
+#include "serve/frame_cache.h"
 #include "serve/health.h"
 #include "serve/recovery_manager.h"
 #include "serve/overload_governor.h"
@@ -69,6 +70,7 @@
 #include "viz/frame.h"
 #include "viz/parallel_render.h"
 #include "viz/pixel_grid.h"
+#include "viz/viewport_stream.h"
 #include "workbench/workbench.h"
 
 #endif  // QUADKDV_QUADKDV_H_

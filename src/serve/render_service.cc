@@ -108,6 +108,11 @@ void CircuitBreaker::RecordFault() {
   // extend the cooldown.
 }
 
+void CircuitBreaker::RecordUntested() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == State::kHalfOpen) probe_in_flight_ = false;
+}
+
 CircuitBreaker::State CircuitBreaker::state() const {
   std::lock_guard<std::mutex> lock(mu_);
   return state_;
@@ -441,11 +446,7 @@ void RenderService::Execute(const std::shared_ptr<Job>& job) {
   ropts.coarse = request.coarse;
   ropts.parallel.num_threads = options_.intra_frame_threads;
   ropts.parallel.tile_rows = options_.tile_rows;
-  // Epoch-keyed frontier reuse: the epoch's renderer owns the cache, and the
-  // epoch id in the key makes stale reuse across hot-swaps structurally
-  // impossible.
   ropts.parallel.tile_shared = options_.tile_shared;
-  ropts.parallel.cache_epoch = epoch->id;
   ropts.tile_pool = tile_pool_;
   ropts.trace = &job->span;
 
@@ -548,6 +549,11 @@ void RenderService::Execute(const std::shared_ptr<Job>& job) {
     RenderOutcome render = renderer.Render(grid, ropts);
     job->span.AddStage(obs::TraceStage::kTierAttempt,
                        attempt_timer.ElapsedSeconds());
+    if (render.cache == RenderOutcome::Cache::kHit) {
+      counters_.frame_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    } else if (render.cache == RenderOutcome::Cache::kMiss) {
+      counters_.frame_cache_misses.fetch_add(1, std::memory_order_relaxed);
+    }
 
     bool watchdog_killed = false;
     if (watch != nullptr) {
@@ -578,12 +584,16 @@ void RenderService::Execute(const std::shared_ptr<Job>& job) {
     // degraded-by-deadline and cancelled renders — is evidence the path
     // itself is healthy. A watchdog kill records nothing here: the stall
     // callback already charged the breaker, and the killed render must not
-    // immediately erase that fault with a "success".
+    // immediately erase that fault with a "success". A frame-cache hit
+    // never ran the path, so it neither clears the fault run nor closes a
+    // half-open breaker.
     const bool fault = IsRetryableRenderFault(render.status.code());
     if (fault) {
       counters_.faults.fetch_add(1, std::memory_order_relaxed);
       ServeObs::Get().faults->Increment();
       breaker_.RecordFault();
+    } else if (render.from_cache()) {
+      breaker_.RecordUntested();
     } else if (!watchdog_killed) {
       breaker_.RecordSuccess();
     }
@@ -631,6 +641,7 @@ void RenderService::FinishOutcome(const std::shared_ptr<Job>& job,
   span.has_epoch = outcome.epoch != 0;
   span.tier = QualityTierName(outcome.render.tier);
   span.attempts = outcome.attempts;
+  span.frame_cache_hit = outcome.render.from_cache();
   span.ok = outcome.status.ok();
   span.total_seconds = outcome.total_seconds;
   ServeObs& so = ServeObs::Get();
@@ -646,10 +657,6 @@ void RenderService::FinishOutcome(const std::shared_ptr<Job>& job,
   obs::MetricsRegistry::Global().RecordTrace(span);
 
   counters_.completed.fetch_add(1, std::memory_order_relaxed);
-  if (outcome.render.stats.frontier_cache_hits > 0) {
-    counters_.frontier_cache_hits.fetch_add(
-        outcome.render.stats.frontier_cache_hits, std::memory_order_relaxed);
-  }
   if (outcome.render.deadline_expired) {
     counters_.deadline_expired.fetch_add(1, std::memory_order_relaxed);
   }
@@ -709,8 +716,10 @@ ServiceStats RenderService::stats() const {
   s.brownout_shed = counters_.brownout_shed.load(std::memory_order_relaxed);
   s.watchdog_kills =
       counters_.watchdog_kills.load(std::memory_order_relaxed);
-  s.frontier_cache_hits =
-      counters_.frontier_cache_hits.load(std::memory_order_relaxed);
+  s.frame_cache_hits =
+      counters_.frame_cache_hits.load(std::memory_order_relaxed);
+  s.frame_cache_misses =
+      counters_.frame_cache_misses.load(std::memory_order_relaxed);
   const OverloadGovernor::Stats gov = governor_.stats();
   s.governor_level = static_cast<int>(gov.level);
   s.governor_max_level = static_cast<int>(gov.max_level);

@@ -88,6 +88,11 @@ class CircuitBreaker {
   // reopens a half-open breaker immediately.
   void RecordSuccess();
   void RecordFault();
+  // Reports an admitted attempt that never ran the certified path (its
+  // frame came from the frame cache), so it is no evidence either way: the
+  // fault run stands, and a half-open probe gives its slot back for the
+  // next admitted request to probe the path.
+  void RecordUntested();
 
   State state() const;
   uint64_t trips() const;  // times the breaker transitioned closed/half-open -> open
@@ -188,9 +193,10 @@ struct ServiceStats {
   // emitters render the epoch as null until epoch_published is true.
   uint64_t epoch = 0;
   bool epoch_published = false;
-  // Tile-shared renders served from a cached frontier (0 unless
-  // Options::tile_shared is on).
-  uint64_t frontier_cache_hits = 0;
+  // Certified attempts answered from the epoch renderer's frame cache
+  // (serve/frame_cache.h), and attempts that looked it up and rendered.
+  uint64_t frame_cache_hits = 0;
+  uint64_t frame_cache_misses = 0;
 
   // Runtime self-defense (zero unless the governor/watchdog are enabled).
   uint64_t brownout_applied = 0;   // requests served below their asked tier
@@ -218,10 +224,9 @@ class RenderService {
     int intra_frame_threads = 1;
     int tile_rows = 16;  // chunk edge in pixels (see RenderOptions::tile_rows)
     // Shared-traversal tile refinement for the certified attempt (see
-    // viz/parallel_render.h). Each epoch's renderer keeps its own frontier
-    // cache, keyed by the epoch id, so retries and repeated viewport
-    // renders skip the per-chunk region pass and a hot-swap can never
-    // serve stale frontiers.
+    // viz/parallel_render.h). Whatever the mode, each epoch's renderer
+    // keeps its own frame cache, so a repeated viewport ships a copy of its
+    // finished frame and a hot-swap can never serve a stale one.
     bool tile_shared = false;
     BackoffPolicy backoff;
     uint64_t backoff_seed = 0x5EEDBACC0FFull;
@@ -390,7 +395,7 @@ class RenderService {
         retries{0}, faults{0}, unavailable{0}, tier_certified{0},
         tier_progressive{0}, tier_coarse{0}, tier_flat{0},
         brownout_applied{0}, brownout_shed{0}, watchdog_kills{0},
-        frontier_cache_hits{0};
+        frame_cache_hits{0}, frame_cache_misses{0};
   };
   mutable Counters counters_;
 };

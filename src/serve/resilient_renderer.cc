@@ -19,6 +19,8 @@ struct RenderObs {
   obs::Histogram* scrub_seconds;
   obs::Histogram* coarse_seconds;
   obs::Counter* pixels_scrubbed;
+  obs::Counter* frame_cache_hits;
+  obs::Counter* frame_cache_misses;
   obs::Counter* tiers[4];
   RenderObs() {
     auto& r = obs::MetricsRegistry::Global();
@@ -27,6 +29,8 @@ struct RenderObs {
     scrub_seconds = r.GetHistogram("kdv_render_scrub_seconds");
     coarse_seconds = r.GetHistogram("kdv_render_coarse_seconds");
     pixels_scrubbed = r.GetCounter("kdv_render_pixels_scrubbed_total");
+    frame_cache_hits = r.GetCounter("kdv_frame_cache_hits_total");
+    frame_cache_misses = r.GetCounter("kdv_frame_cache_misses_total");
     tiers[0] = r.GetCounter("kdv_render_tier_certified_total");
     tiers[1] = r.GetCounter("kdv_render_tier_progressive_total");
     tiers[2] = r.GetCounter("kdv_render_tier_coarse_total");
@@ -60,6 +64,21 @@ void Finalize(const ResilientRenderOptions& opts, RenderOutcome* outcome) {
     o.pixels_scrubbed->Increment(outcome->pixels_scrubbed);
   }
   o.tiers[static_cast<int>(outcome->tier)]->Increment();
+}
+
+// Ships a frame with every pixel painted, rendered or copied from the frame
+// cache. Clamped pixels, or a brownout cap below the certified tier, strip
+// the certificate: the frame still ships, but claims no ε.
+void ShipCompleted(const ResilientRenderOptions& opts,
+                   RenderOutcome* outcome) {
+  if (outcome->numeric_faults == 0 &&
+      opts.max_tier == QualityTier::kCertified) {
+    outcome->tier = QualityTier::kCertified;
+    outcome->certified_eps = opts.eps;
+  } else {
+    outcome->tier = QualityTier::kProgressive;
+  }
+  Finalize(opts, outcome);
 }
 
 // Either kill switch (client's or watchdog's) has fired.
@@ -196,6 +215,20 @@ RenderOutcome ResilientRenderer::Render(
     return outcome;
   }
 
+  // A viewport this renderer has already rendered cleanly, at this ε and
+  // chunking, ships as a copy of that frame: no refinement at all.
+  const FrameKey key = FrameKey::Of(grid, opts.eps, opts.parallel);
+  if (std::shared_ptr<const DensityFrame> hit = frame_cache_.Lookup(key)) {
+    RenderObs::Get().frame_cache_hits->Increment();
+    outcome.cache = RenderOutcome::Cache::kHit;
+    outcome.frame = *hit;
+    outcome.stats.frontier_cache_hits = 1;
+    ShipCompleted(opts, &outcome);
+    return outcome;
+  }
+  RenderObs::Get().frame_cache_misses->Increment();
+  outcome.cache = RenderOutcome::Cache::kMiss;
+
   // The certified attempt: one εKDV frame through the frame driver, on the
   // deadline. A brownout cap below kCertified runs it caller-only, so the
   // shared tile pool stays free for full-tier requests.
@@ -205,15 +238,11 @@ RenderOutcome ResilientRenderer::Render(
   control.cancel = opts.cancel;
   control.force_cancel = opts.force_cancel;
   control.heartbeat = opts.heartbeat;
-  RenderOptions parallel_opts = opts.parallel;
-  if (parallel_opts.tile_shared && parallel_opts.frontier_cache == nullptr) {
-    parallel_opts.frontier_cache = &frontier_cache_;
-  }
   Executor* pool =
       opts.max_tier == QualityTier::kCertified ? opts.tile_pool : nullptr;
   Timer attempt_timer;
   outcome.frame = RenderEpsFrameParallel(*evaluator_, grid, opts.eps,
-                                         parallel_opts, pool, control,
+                                         opts.parallel, pool, control,
                                          &outcome.stats);
   // Split the attempt between the shared region passes (tile_seconds, CPU
   // time summed by the tile workers) and everything else, which is the
@@ -233,17 +262,13 @@ RenderOutcome ResilientRenderer::Render(
   outcome.cancelled = stats.cancelled;
 
   if (stats.completed) {
-    // Every pixel is painted. Clamped pixels, or a brownout cap below the
-    // certified tier, strip the certificate: the frame still ships, but
-    // claims no ε.
-    if (stats.numeric_faults == 0 &&
-        opts.max_tier == QualityTier::kCertified) {
-      outcome.tier = QualityTier::kCertified;
-      outcome.certified_eps = opts.eps;
-    } else {
-      outcome.tier = QualityTier::kProgressive;
+    ShipCompleted(opts, &outcome);
+    // Only a clean frame is kept for repeats: none of its pixels was
+    // clamped or scrubbed, and nothing faulted.
+    if (outcome.numeric_faults == 0 && stats.status.ok()) {
+      frame_cache_.Insert(key, std::make_shared<const DensityFrame>(
+                                   outcome.frame));
     }
-    Finalize(opts, &outcome);
     return outcome;
   }
 

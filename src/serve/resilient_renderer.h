@@ -5,7 +5,10 @@
 // on the request's deadline. What ships depends on how that attempt ends:
 //
 //   1. kCertified    the attempt completed: every pixel within the
-//                    requested ε.
+//                    requested ε. A viewport the renderer has already
+//                    rendered cleanly ships from its frame cache instead
+//                    (serve/frame_cache.h), at the tier a completed attempt
+//                    would get.
 //   2. kProgressive  the attempt completed, but without a certificate:
 //                    some pixel was clamped by numeric hardening, or a
 //                    brownout cap (max_tier) forbade the claim.
@@ -41,6 +44,7 @@
 #include "core/evaluator.h"
 #include "core/kdv_runner.h"
 #include "obs/trace.h"
+#include "serve/frame_cache.h"
 #include "util/cancel.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -100,11 +104,8 @@ struct ResilientRenderOptions {
   // Helpers come from `tile_pool` when `parallel.num_threads` resolves above
   // 1; otherwise the calling thread renders alone. `parallel.tile_shared`
   // is a work reduction, so it pays single-threaded too. The pool is
-  // borrowed, never owned, and must outlive the call.
-  // When parallel.tile_shared is on and parallel.frontier_cache is null, the
-  // renderer substitutes its own cross-frame FrontierCache, so repeated
-  // renders of one viewport (retries, pan-and-return) skip the tile region
-  // pass. parallel.cache_epoch should carry the serving epoch id.
+  // borrowed, never owned, and must outlive the call. `parallel.tile_shared`
+  // and `parallel.tile_rows` are part of the frame cache key.
   RenderOptions parallel;
   Executor* tile_pool = nullptr;
 
@@ -133,8 +134,16 @@ struct RenderOutcome {
   Status status = OkStatus();
 
   // Stats of the certified attempt, cut short or not (zeroed if it was
-  // skipped).
+  // skipped). A frame served from the cache did no work:
+  // stats.frontier_cache_hits is 1 and every work counter 0.
   BatchStats stats;
+
+  // Whether the certified attempt looked its viewport up in the frame cache
+  // (kMiss: and rendered it), and whether the frame shipped from it (kHit).
+  // kSkipped when no certified attempt started.
+  enum class Cache { kSkipped, kMiss, kHit };
+  Cache cache = Cache::kSkipped;
+  bool from_cache() const { return cache == Cache::kHit; }
 
   bool ok() const { return status.ok(); }
 };
@@ -179,10 +188,9 @@ class ResilientRenderer {
 
   const KdeEvaluator* evaluator_;
 
-  // Cross-frame tile-shared frontier cache (viz/frontier_cache.h), used by
-  // the parallel certified path when the caller enables tile_shared without
-  // supplying a cache of their own. Internally synchronized.
-  mutable FrontierCache frontier_cache_;
+  // Finished frames of this renderer's evaluator, keyed by viewport and
+  // query (serve/frame_cache.h). Internally synchronized.
+  mutable FrameCache frame_cache_;
 
   mutable std::mutex coarse_mu_;
   mutable std::shared_ptr<const GridKde> coarse_cache_;

@@ -24,6 +24,7 @@
 #include "util/crc32.h"
 #include "util/failpoint.h"
 #include "viz/pixel_grid.h"
+#include "viz/viewport_stream.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -79,6 +80,9 @@ struct EpochCtx {
 
 struct PendingRequest {
   uint64_t id = 0;
+  // The request's viewport; heap-held so that it stays put while the
+  // service renders it, however pending_ grows.
+  std::unique_ptr<PixelGrid> grid;
   std::future<ServeOutcome> future;
   double eps = 0.05;
   double budget = -1.0;
@@ -92,7 +96,7 @@ class SimEnv {
         rng_(options.seed ^ 0x51E57A7E5EEDull),
         clock_(0.0),
         executor_(&clock_, MakeExecutorOptions(options)),
-        grid_(6, 6, UnitSquare()) {}
+        viewports_(6, 6, UnitSquare(), options.seed) {}
 
   SimReport Run();
 
@@ -152,7 +156,10 @@ class SimEnv {
 
   SimClock clock_;
   SimExecutor executor_;
-  PixelGrid grid_;
+  // Request i renders viewport viewports_.Request(i): recurring viewports
+  // exercise the frame cache, fresh ones the render path. Seeded by the
+  // run's seed but not drawn from rng_, so it moves no other op or fault.
+  ViewportStream viewports_;
 
   std::string state_dir_;
   RecoveryOptions recovery_options_;
@@ -394,8 +401,10 @@ void SimEnv::OpSubmit() {
   }
   req.degrade = (Rand() % 5) != 0;
 
-  StatusOr<std::future<ServeOutcome>> sub = service_->Submit(grid_, req);
   const uint64_t id = next_request_id_++;
+  const uint64_t view = viewports_.ViewportId(id);
+  auto grid = std::make_unique<PixelGrid>(viewports_.Viewport(view));
+  StatusOr<std::future<ServeOutcome>> sub = service_->Submit(*grid, req);
   char line[128];
   if (!sub.ok()) {
     std::snprintf(line, sizeof(line), "submit id=%llu -> shed code=%d",
@@ -411,12 +420,15 @@ void SimEnv::OpSubmit() {
     return;
   }
   ++report_.admitted;
-  std::snprintf(line, sizeof(line), "submit id=%llu budget=%.3f degrade=%d",
-                static_cast<unsigned long long>(id), req.budget_seconds,
+  std::snprintf(line, sizeof(line),
+                "submit id=%llu view=%llu budget=%.3f degrade=%d",
+                static_cast<unsigned long long>(id),
+                static_cast<unsigned long long>(view), req.budget_seconds,
                 req.degrade ? 1 : 0);
   Log(line);
   PendingRequest pending;
   pending.id = id;
+  pending.grid = std::move(grid);
   pending.future = std::move(*sub);
   pending.eps = req.eps;
   pending.budget = req.budget_seconds;
@@ -462,12 +474,13 @@ void SimEnv::CheckOutcome(PendingRequest* req, const ServeOutcome& outcome) {
   ++report_.completions;
   char line[160];
   std::snprintf(line, sizeof(line),
-                "complete id=%llu code=%d tier=%s epoch=%llu attempts=%d",
+                "complete id=%llu code=%d tier=%s epoch=%llu attempts=%d "
+                "cached=%d",
                 static_cast<unsigned long long>(req->id),
                 static_cast<int>(outcome.status.code()),
                 TierName(outcome.render.tier),
                 static_cast<unsigned long long>(outcome.epoch),
-                outcome.attempts);
+                outcome.attempts, outcome.render.from_cache() ? 1 : 0);
   Log(line);
 
   if (!completed_ids_.insert(req->id).second) {
@@ -488,8 +501,9 @@ void SimEnv::CheckOutcome(PendingRequest* req, const ServeOutcome& outcome) {
       return;
   }
 
+  const PixelGrid& grid = *req->grid;
   const DensityFrame& frame = outcome.render.frame;
-  if (frame.width != grid_.width() || frame.height != grid_.height()) {
+  if (frame.width != grid.width() || frame.height != grid.height()) {
     Fail("frame has wrong dimensions");
     return;
   }
@@ -511,14 +525,16 @@ void SimEnv::CheckOutcome(PendingRequest* req, const ServeOutcome& outcome) {
     }
     // ε-oracle: sampled pixels of a certified frame must match the exact
     // density of the epoch they rendered on, within the certified relative
-    // ε (paper guarantee |R - F| <= ε·F), plus float-order slack.
+    // ε (paper guarantee |R - F| <= ε·F), plus float-order slack. A frame
+    // copied from the frame cache is held to the same check, so a frame of
+    // another epoch or viewport fails it.
     const KdeEvaluator& eval = epochs_[outcome.epoch - 1]->eval;
     const double eps = outcome.render.certified_eps;
     for (int s = 0; s < 3; ++s) {
-      const int px = static_cast<int>(Rand() % grid_.width());
-      const int py = static_cast<int>(Rand() % grid_.height());
-      const double value = frame.values[grid_.PixelIndex(px, py)];
-      const double exact = eval.EvaluateExact(grid_.PixelCenter(px, py));
+      const int px = static_cast<int>(Rand() % grid.width());
+      const int py = static_cast<int>(Rand() % grid.height());
+      const double value = frame.values[grid.PixelIndex(px, py)];
+      const double exact = eval.EvaluateExact(grid.PixelCenter(px, py));
       const double slack = eps * exact + 1e-9 * exact + 1e-12;
       if (std::abs(value - exact) > slack) {
         std::snprintf(line, sizeof(line),
@@ -651,6 +667,8 @@ SimReport SimEnv::Run() {
     CheckTransitionLogs();
 
     const ServiceStats stats = service_->stats();
+    report_.frame_cache_hits = stats.frame_cache_hits;
+    report_.frame_cache_misses = stats.frame_cache_misses;
     if (!report_.failed && stats.completed != stats.admitted) {
       Fail("service stats leak: admitted " + std::to_string(stats.admitted) +
            " != completed " + std::to_string(stats.completed));
@@ -720,18 +738,20 @@ void SimEnv::CheckTransitionLogs() {
 }  // namespace
 
 std::string SimReport::Summary() const {
-  char buf[256];
+  char buf[320];
   std::snprintf(
       buf, sizeof(buf),
       "seed=%llu %s hash=%08x ops=%llu submits=%llu/%llu done=%llu "
-      "certified=%llu appends=%llu ckpts=%llu swaps=%llu crashes=%llu "
-      "faults=%llu vt=%.3fs",
+      "certified=%llu cache=%llu/%llu appends=%llu ckpts=%llu swaps=%llu "
+      "crashes=%llu faults=%llu vt=%.3fs",
       static_cast<unsigned long long>(seed), failed ? "FAIL" : "ok",
       event_hash, static_cast<unsigned long long>(ops),
       static_cast<unsigned long long>(admitted),
       static_cast<unsigned long long>(submits),
       static_cast<unsigned long long>(completions),
       static_cast<unsigned long long>(certified),
+      static_cast<unsigned long long>(frame_cache_hits),
+      static_cast<unsigned long long>(frame_cache_hits + frame_cache_misses),
       static_cast<unsigned long long>(journal_appends),
       static_cast<unsigned long long>(checkpoints),
       static_cast<unsigned long long>(swaps),

@@ -115,6 +115,10 @@ struct SimReport {
   uint64_t completions = 0;
   uint64_t certified = 0;
   uint64_t degraded = 0;
+  // Certified attempts served from the frame cache, and those that looked
+  // it up and rendered (ServiceStats at the end of the run).
+  uint64_t frame_cache_hits = 0;
+  uint64_t frame_cache_misses = 0;
   uint64_t journal_appends = 0;
   uint64_t checkpoints = 0;
   uint64_t swaps = 0;

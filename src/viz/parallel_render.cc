@@ -23,15 +23,11 @@ namespace {
 // merges — never inside the per-pixel loops.
 struct FrameObs {
   obs::Counter* frames;
-  obs::Counter* cache_hits;
-  obs::Counter* cache_misses;
   obs::Histogram* frame_seconds;
   obs::Histogram* bound_evals_per_pixel;
   FrameObs() {
     auto& r = obs::MetricsRegistry::Global();
     frames = r.GetCounter("kdv_render_frames_total");
-    cache_hits = r.GetCounter("kdv_frontier_cache_hits_total");
-    cache_misses = r.GetCounter("kdv_frontier_cache_misses_total");
     frame_seconds = r.GetHistogram("kdv_render_frame_seconds");
     bound_evals_per_pixel = r.GetHistogram("kdv_render_bound_evals_per_pixel");
   }
@@ -101,10 +97,9 @@ struct FrameJob {
   const TileRefiner* refiner = nullptr;
   bool eps_mode = true;
   double param = 0.0;
-  // At most one of these is set: a cache hit serves every chunk read-only;
-  // a miss builds into `building` (each chunk written by its owner).
-  std::shared_ptr<const FrameFrontiers> cached;
-  std::shared_ptr<FrameFrontiers> building;
+  // One frontier per chunk when `refiner` is set, each written by the
+  // chunk's owner before it publishes the chunk.
+  std::vector<TileFrontier> frontiers;
 
   // Frame and chunk geometry, copied so that a late helper's search for
   // work never dereferences `grid`. Chunk c covers chunk row c / chunks_x,
@@ -172,39 +167,32 @@ bool PixelPreamble(FrameJob& job, BatchStats* ws) {
   return true;
 }
 
-// The owner's part of chunk c: run (or load from the cache) its region pass,
-// then publish the chunk so that every worker may take its rows.
+// The owner's part of chunk c: run its region pass, then publish the chunk
+// so that every worker may take its rows.
 void OpenChunk(FrameJob& job, uint32_t c, BatchStats* ws) {
   Chunk& chunk = job.chunks[c];
   if (job.refiner != nullptr && PixelPreamble(job, ws)) {
-    const TileFrontier* tf = nullptr;
-    if (job.cached != nullptr) {
-      tf = &(*job.cached)[c];
-    } else {
-      // Hull of the chunk's pixel centers (data y is flipped, so the last
-      // row holds the lowest y).
-      const PixelGrid& grid = *job.grid;
-      const int row_begin = job.RowBegin(c);
-      const int row_end = row_begin + static_cast<int>(job.RowCount(c));
-      Rect query_rect(2);
-      query_rect.Expand(grid.PixelCenter(job.ColBegin(c), row_end - 1));
-      query_rect.Expand(grid.PixelCenter(job.ColEnd(c) - 1, row_begin));
-      Timer pass_timer;
-      TileFrontier built = job.eps_mode
-                               ? job.refiner->BuildEps(query_rect, job.param)
-                               : job.refiner->BuildTau(query_rect, job.param);
-      ws->tile_seconds += pass_timer.ElapsedSeconds();
-      ws->tile_nodes_visited += built.nodes_visited;
-      ws->tile_accepted += built.accepted;
-      ws->tile_pruned += built.pruned;
-      (*job.building)[c] = std::move(built);
-      tf = &(*job.building)[c];
-    }
+    // Hull of the chunk's pixel centers (data y is flipped, so the last row
+    // holds the lowest y).
+    const PixelGrid& grid = *job.grid;
+    const int row_begin = job.RowBegin(c);
+    const int row_end = row_begin + static_cast<int>(job.RowCount(c));
+    Rect query_rect(2);
+    query_rect.Expand(grid.PixelCenter(job.ColBegin(c), row_end - 1));
+    query_rect.Expand(grid.PixelCenter(job.ColEnd(c) - 1, row_begin));
+    Timer pass_timer;
+    TileFrontier& tf = job.frontiers[c];
+    tf = job.eps_mode ? job.refiner->BuildEps(query_rect, job.param)
+                      : job.refiner->BuildTau(query_rect, job.param);
+    ws->tile_seconds += pass_timer.ElapsedSeconds();
+    ws->tile_nodes_visited += tf.nodes_visited;
+    ws->tile_accepted += tf.accepted;
+    ws->tile_pruned += tf.pruned;
     // An invalid frontier (the region pass hit a numeric fault) falls back
     // to root-seeded per-pixel refinement for the whole chunk.
-    if (tf->valid) {
-      chunk.frontier = tf;
-      if (tf->decided) ++ws->tiles_decided;
+    if (tf.valid) {
+      chunk.frontier = &tf;
+      if (tf.decided) ++ws->tiles_decided;
     }
   }
   chunk.published.store(true, std::memory_order_release);
@@ -328,45 +316,6 @@ bool TileSharedApplies(const KdeEvaluator& evaluator,
          evaluator.tree().dim() == 2;
 }
 
-// Sets the job's region passes up (refiner, mode, frontier cache lookup).
-// Returns the cache key so the caller can publish after a clean frame.
-FrontierKey ConfigureSharedJob(FrameJob& job, const PixelGrid& grid,
-                               const RenderOptions& options,
-                               const TileRefiner* refiner, bool eps_mode,
-                               double param, BatchStats* stats) {
-  job.refiner = refiner;
-  job.eps_mode = eps_mode;
-  job.param = param;
-
-  FrontierKey key;
-  key.epoch = options.cache_epoch;
-  key.width = grid.width();
-  key.height = grid.height();
-  key.lo0 = grid.domain().lo(0);
-  key.lo1 = grid.domain().lo(1);
-  key.hi0 = grid.domain().hi(0);
-  key.hi1 = grid.domain().hi(1);
-  key.tile_rows = job.chunk_rows;
-  key.tile_cols = job.chunk_cols;
-  key.mode = eps_mode ? 'e' : 't';
-  key.param = param;
-
-  if (options.frontier_cache != nullptr) {
-    auto hit = options.frontier_cache->Lookup(key);
-    if (hit != nullptr && hit->size() == job.num_chunks) {
-      job.cached = std::move(hit);
-      if (stats != nullptr) ++stats->frontier_cache_hits;
-      FrameObs::Get().cache_hits->Increment();
-    } else {
-      FrameObs::Get().cache_misses->Increment();
-    }
-  }
-  if (job.cached == nullptr) {
-    job.building = std::make_shared<FrameFrontiers>(job.num_chunks);
-  }
-  return key;
-}
-
 // The one frame driver. `mode` selects the region pass of tile-shared
 // frames: 'e' (εKDV) or 't' (τKDV) with threshold/tolerance `param`, or 0
 // for none (EXACT).
@@ -398,11 +347,12 @@ void RenderChunks(const KdeEvaluator& evaluator, const PixelGrid& grid,
   job->chunks = std::make_unique<Chunk[]>(job->num_chunks);
 
   std::optional<TileRefiner> refiner;
-  FrontierKey key;
   if (mode != 0 && TileSharedApplies(evaluator, options)) {
     refiner.emplace(&evaluator.tree(), evaluator.params(), evaluator.bounds());
-    key = ConfigureSharedJob(*job, grid, options, &*refiner, mode == 'e',
-                             param, stats);
+    job->refiner = &*refiner;
+    job->eps_mode = mode == 'e';
+    job->param = param;
+    job->frontiers.resize(job->num_chunks);
   }
 
   const int threads = ResolveRenderThreads(options.num_threads);
@@ -427,11 +377,6 @@ void RenderChunks(const KdeEvaluator& evaluator, const PixelGrid& grid,
       return job->claims_done == job->num_chunks + job->num_rows;
     });
     merged = job->stats;
-  }
-  if (options.frontier_cache != nullptr && job->building != nullptr &&
-      merged.completed) {
-    // Only a clean frame publishes its freshly built frontiers.
-    options.frontier_cache->Insert(key, std::move(job->building));
   }
   if (stats == nullptr) return;
   MergeRun(merged, stats);

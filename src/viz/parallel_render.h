@@ -3,14 +3,14 @@
 //
 // The pixel grid is cut into square chunks of `tile_rows` x `tile_rows`
 // pixels (clipped at the frame edge). A worker claims the next chunk off an
-// atomic counter, runs (or loads from the frontier cache) the chunk's
-// region pass in tile-shared mode, publishes the chunk, and then takes its
-// rows one at a time off a per-chunk atomic counter. A worker that finds no
-// chunk left to claim takes rows of chunks other workers have published, so
-// nobody waits on another worker's region pass while other work is left and
-// a frame's tail is one chunk row. Per-pixel mode and EXACT run the same
-// loop with no region pass. Every worker reuses one RefinementStream for
-// all its pixels (zero allocations after warm-up). The caller thread always
+// atomic counter, runs the chunk's region pass in tile-shared mode,
+// publishes the chunk, and then takes its rows one at a time off a
+// per-chunk atomic counter. A worker that finds no chunk left to claim
+// takes rows of chunks other workers have published, so nobody waits on
+// another worker's region pass while other work is left and a frame's tail
+// is one chunk row. Per-pixel mode and EXACT run the same loop with no
+// region pass. Every worker reuses one RefinementStream for all its pixels
+// (zero allocations after warm-up). The caller thread always
 // participates, so a frame makes progress even when the helper pool is
 // saturated or absent — and a frame rendered through an exhausted pool
 // degrades to caller-only rendering rather than failing.
@@ -27,10 +27,12 @@
 // (core/tile_refiner.h) and seeds every pixel's stream from the shared
 // frontier. Frames remain deterministic for any thread count (each chunk's
 // pass runs once, and both it and the seeded per-pixel refinement are
-// deterministic; a cached frontier is bitwise the one a rebuild would
-// produce) but are not bitwise equal to the per-pixel path: whole chunks may
-// be answered from region bounds alone. The εKDV/τKDV certificates hold
-// exactly either way.
+// deterministic) but are not bitwise equal to the per-pixel path: whole
+// chunks may be answered from region bounds alone. The εKDV/τKDV
+// certificates hold exactly either way.
+//
+// Nothing is cached across frames here: every call renders its frame. The
+// serve layer caches finished frames (serve/frame_cache.h).
 //
 // Contracts:
 //   * QueryControl is polled before every pixel and at iteration granularity
@@ -48,7 +50,6 @@
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 #include "viz/frame.h"
-#include "viz/frontier_cache.h"
 #include "viz/pixel_grid.h"
 
 namespace kdv {
@@ -75,11 +76,6 @@ struct RenderOptions {
   // different pixel values. Ignored for the EXACT method and for non-2-d
   // indexes.
   bool tile_shared = false;
-  // Optional cross-frame frontier cache; entries are namespaced by
-  // cache_epoch (the serving layer passes its epoch id, so a dataset
-  // hot-swap can never reuse stale frontiers).
-  FrontierCache* frontier_cache = nullptr;
-  uint64_t cache_epoch = 0;
 };
 
 // Resolves a --threads style request: 0 -> hardware_concurrency (>= 1),

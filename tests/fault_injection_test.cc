@@ -3,6 +3,7 @@
 // truncated or bit-flipped, LoadKdTree returns a descriptive Status error —
 // never a crash, never a silently-wrong tree — and degenerate point sets are
 // either rejected with a Status or ingested with the degeneracy reported.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +16,7 @@
 #include "data/datasets.h"
 #include "data/validate.h"
 #include "index/serialization.h"
+#include "util/random.h"
 
 namespace kdv {
 namespace {
@@ -293,6 +295,66 @@ TEST(IngestValidationTest, DuplicateFloodRejectedWhenConfigured) {
   Status status = ValidatePointSet(&pts, options, nullptr);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("duplicate"), std::string::npos);
+}
+
+// The census sorts on the first coordinate and compares whole points only
+// within runs of equal first coordinate: points that share it and differ
+// later must not count, equal ones must, in any dimension.
+TEST(IngestValidationTest, DuplicateCensusLooksPastTheFirstCoordinate) {
+  PointSet pts{Point{1.0, 1.0}, Point{1.0, 2.0}, Point{1.0, 3.0},
+               Point{1.0, 2.0}, Point{1.0, 1.0}, Point{2.0, 1.0}};
+  IngestReport report;
+  ASSERT_TRUE(ValidatePointSet(&pts, &report).ok());
+  EXPECT_EQ(report.duplicate_points, 2u);
+
+  PointSet distinct;
+  for (int i = 0; i < 20; ++i) {
+    distinct.push_back(Point{4.0, static_cast<double>(i % 5), i / 5.0});
+  }
+  ASSERT_TRUE(ValidatePointSet(&distinct, &report).ok());
+  EXPECT_EQ(report.duplicate_points, 0u);
+
+  PointSet three_d{Point{5.0, 0.0, 1.0}, Point{5.0, 0.0, 2.0},
+                   Point{5.0, 1.0, 1.0}, Point{5.0, 0.0, 1.0}};
+  ASSERT_TRUE(ValidatePointSet(&three_d, &report).ok());
+  EXPECT_EQ(report.duplicate_points, 1u);
+}
+
+// +0.0 and -0.0 compare equal, as Point::operator== has them, in the first
+// coordinate and after it.
+TEST(IngestValidationTest, DuplicateCensusCountsSignedZerosAsEqual) {
+  PointSet pts{Point{0.0, 1.0}, Point{-0.0, 1.0}, Point{0.0, -0.0},
+               Point{-0.0, 0.0}, Point{-0.0, 2.0}};
+  IngestReport report;
+  ASSERT_TRUE(ValidatePointSet(&pts, &report).ok());
+  EXPECT_EQ(report.duplicate_points, 2u);
+}
+
+// Against the whole-point sort it replaced, on data with many repeats and
+// many shared first coordinates.
+TEST(IngestValidationTest, DuplicateCensusMatchesAWholePointSort) {
+  Rng rng(17);
+  PointSet pts;
+  for (int i = 0; i < 2000; ++i) {
+    pts.push_back(Point{static_cast<double>(rng.UniformInt(30)),
+                        static_cast<double>(rng.UniformInt(12)) - 6.0,
+                        rng.UniformInt(4) == 0 ? -0.0 : 0.0});
+  }
+  PointSet sorted = pts;
+  std::sort(sorted.begin(), sorted.end(), [](const Point& a, const Point& b) {
+    for (int j = 0; j < a.dim(); ++j) {
+      if (a[j] != b[j]) return a[j] < b[j];
+    }
+    return false;
+  });
+  size_t want = 0;
+  for (size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] == sorted[i - 1]) ++want;
+  }
+  IngestReport report;
+  ASSERT_TRUE(ValidatePointSet(&pts, &report).ok());
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(report.duplicate_points, want);
 }
 
 TEST(IngestValidationTest, CleanDataPassesUntouched) {

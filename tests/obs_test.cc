@@ -235,6 +235,26 @@ TEST(ExportTest, JsonEpochNullUntilPublished) {
   EXPECT_NE(json.find("\"epoch\":null"), std::string::npos);
 }
 
+TEST(ExportTest, JsonCarriesTheFrameCacheHit) {
+  MetricsRegistry registry;
+  TraceSpan span;
+  span.request_id = 1;
+  registry.RecordTrace(span);
+  span.request_id = 2;
+  span.frame_cache_hit = true;
+  registry.RecordTrace(span);
+  const std::string json = ExportJson(registry.Snapshot());
+  EXPECT_TRUE(JsonValidate(json).ok());
+  EXPECT_NE(json.find("\"request_id\":1,\"epoch\":null,\"tier\":\"\","
+                      "\"attempts\":0,\"frame_cache_hit\":false"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"request_id\":2,\"epoch\":null,\"tier\":\"\","
+                      "\"attempts\":0,\"frame_cache_hit\":true"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ExportTest, EmptySnapshotExportsCleanly) {
   const MetricsSnapshot empty;
   EXPECT_TRUE(JsonValidate(ExportJson(empty)).ok());

@@ -540,44 +540,6 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
   }
 }
 
-// A cache hit must substitute the stored frontiers verbatim: same frame
-// bits, zero additional region-pass work.
-TEST(TileSharedTest, FrontierCacheHitReproducesFrameBitwise) {
-  auto bench = MakeBench();
-  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
-  PixelGrid grid(40, 30, bench->data_bounds());
-
-  FrontierCache cache;
-  RenderOptions options;
-  options.num_threads = 1;
-  options.tile_shared = true;
-  options.frontier_cache = &cache;
-  options.cache_epoch = 7;
-
-  BatchStats cold_stats;
-  DensityFrame cold = RenderEpsFrameParallel(
-      evaluator, grid, 0.05, options, nullptr, QueryControl(), &cold_stats);
-  EXPECT_EQ(cold_stats.frontier_cache_hits, 0u);
-  EXPECT_GT(cold_stats.tile_nodes_visited, 0u);
-
-  BatchStats warm_stats;
-  DensityFrame warm = RenderEpsFrameParallel(
-      evaluator, grid, 0.05, options, nullptr, QueryControl(), &warm_stats);
-  EXPECT_GT(warm_stats.frontier_cache_hits, 0u);
-  EXPECT_EQ(warm_stats.tile_nodes_visited, 0u);
-  EXPECT_TRUE(FramesBitIdentical(cold.values, warm.values));
-
-  // A different epoch is a different key: the stale frontiers must not be
-  // served to a hot-swapped index generation.
-  options.cache_epoch = 8;
-  BatchStats swap_stats;
-  DensityFrame swapped = RenderEpsFrameParallel(
-      evaluator, grid, 0.05, options, nullptr, QueryControl(), &swap_stats);
-  EXPECT_EQ(swap_stats.frontier_cache_hits, 0u);
-  EXPECT_GT(swap_stats.tile_nodes_visited, 0u);
-  EXPECT_TRUE(FramesBitIdentical(cold.values, swapped.values));
-}
-
 // Every integer work counter of a frame.
 void ExpectSameCounters(const BatchStats& want, const BatchStats& got,
                         const std::string& where) {
@@ -591,7 +553,6 @@ void ExpectSameCounters(const BatchStats& want, const BatchStats& got,
   EXPECT_EQ(got.tile_pruned, want.tile_pruned) << where;
   EXPECT_EQ(got.tiles_decided, want.tiles_decided) << where;
   EXPECT_EQ(got.pixels_decided, want.pixels_decided) << where;
-  EXPECT_EQ(got.frontier_cache_hits, want.frontier_cache_hits) << where;
 }
 
 // One tile-shared frame: εKDV (ε = 0.05) or τKDV (τ = 0.3, the mask
@@ -620,8 +581,7 @@ SharedFrame RenderSharedFrame(const KdeEvaluator& evaluator,
 // Tile-shared frames do not depend on the thread count: however chunks and
 // their rows are handed out, each chunk's region pass runs once and every
 // pixel's seeded refinement is the same. Pixels must equal the one-thread
-// frame bitwise and every work counter must match, with the frontier cache
-// cold (region passes run) and warm (frontiers loaded).
+// frame bitwise and every work counter must match.
 TEST(TileSharedTest, FramesInvariantToThreadCount) {
   ThreadPool pool({/*num_threads=*/7, /*max_queue=*/64});
   for (KernelType kernel : {KernelType::kGaussian, KernelType::kTriangular}) {
@@ -630,37 +590,27 @@ TEST(TileSharedTest, FramesInvariantToThreadCount) {
     PixelGrid grid(40, 30, bench->data_bounds());
     for (bool eps_mode : {true, false}) {
       for (int tile_rows : {16, 5, 1}) {
-        SharedFrame want[2];  // one thread; [0] cold, [1] warm
+        SharedFrame want;  // one thread
         for (int threads : {1, 2, 3, 8}) {
-          FrontierCache cache;
           RenderOptions options;
           options.num_threads = threads;
           options.tile_rows = tile_rows;
           options.tile_shared = true;
-          options.frontier_cache = &cache;
-          for (int warm = 0; warm < 2; ++warm) {
-            const std::string where =
-                std::string(KernelTypeName(kernel)) +
-                (eps_mode ? " eps" : " tau") + " rows" +
-                std::to_string(tile_rows) + " t" + std::to_string(threads) +
-                (warm ? " warm" : " cold");
-            SharedFrame got =
-                RenderSharedFrame(evaluator, grid, eps_mode, options, &pool);
-            ASSERT_TRUE(got.stats.completed) << where;
-            EXPECT_EQ(got.stats.frontier_cache_hits,
-                      static_cast<uint64_t>(warm))
-                << where;
-            if (threads == 1) {
-              want[warm] = std::move(got);
-              continue;
-            }
-            EXPECT_TRUE(FramesBitIdentical(want[warm].values, got.values))
-                << where;
-            ExpectSameCounters(want[warm].stats, got.stats, where);
+          const std::string where =
+              std::string(KernelTypeName(kernel)) +
+              (eps_mode ? " eps" : " tau") + " rows" +
+              std::to_string(tile_rows) + " t" + std::to_string(threads);
+          SharedFrame got =
+              RenderSharedFrame(evaluator, grid, eps_mode, options, &pool);
+          ASSERT_TRUE(got.stats.completed) << where;
+          if (threads == 1) {
+            want = std::move(got);
+            continue;
           }
+          EXPECT_TRUE(FramesBitIdentical(want.values, got.values)) << where;
+          ExpectSameCounters(want.stats, got.stats, where);
         }
-        EXPECT_GT(want[0].stats.tile_nodes_visited, 0u);
-        EXPECT_TRUE(FramesBitIdentical(want[0].values, want[1].values));
+        EXPECT_GT(want.stats.tile_nodes_visited, 0u);
       }
     }
   }

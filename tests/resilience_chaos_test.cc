@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -160,26 +162,190 @@ TEST_F(ResilientRendererTest, NonPlanarDataFallsBackToFlat) {
   for (double v : outcome.frame.values) EXPECT_EQ(v, 0.0);
 }
 
-// A deadline that cuts the tiled attempt short ships the coarse tier; the
-// attempt's work counters — here its frontier-cache hit — must still reach
-// the outcome.
+// A deadline that cuts a tiled attempt on a fresh viewport short ships the
+// coarse tier; the attempt's work counters — its region pass and the pixels
+// it refined — must still reach the outcome.
 TEST_F(ResilientRendererTest, CutShortTiledAttemptKeepsItsWorkCounters) {
   ResilientRenderer renderer(&evaluator_);
   ResilientRenderOptions options;
   options.eps = 0.01;
-  options.budget_seconds = -1.0;
+  options.budget_seconds = 0.05;  // 50 reads of the ticking clock
   options.parallel.tile_shared = true;
-  RenderOutcome warm = renderer.Render(grid_, options);
-  ASSERT_EQ(warm.tier, QualityTier::kCertified);
-  EXPECT_EQ(warm.stats.frontier_cache_hits, 0u);
-  EXPECT_GT(warm.stats.tile_nodes_visited, 0u);
-
-  options.budget_seconds = 1e-9;
-  RenderOutcome cut = renderer.Render(grid_, options);
+  RenderOutcome cut;
+  {
+    TickingClock clock;
+    ScopedClockOverride ticking(&clock);
+    cut = renderer.Render(grid_, options);
+  }
   EXPECT_TRUE(cut.deadline_expired);
   EXPECT_EQ(cut.tier, QualityTier::kCoarse);
-  EXPECT_EQ(cut.stats.frontier_cache_hits, 1u);
-  EXPECT_EQ(cut.stats.tile_nodes_visited, 0u);  // served from the cache
+  EXPECT_EQ(cut.cache, RenderOutcome::Cache::kMiss);
+  EXPECT_FALSE(cut.stats.completed);
+  EXPECT_EQ(cut.stats.frontier_cache_hits, 0u);
+  EXPECT_GT(cut.stats.tile_nodes_visited, 0u);
+  EXPECT_GT(cut.stats.queries, 0u);
+  EXPECT_LT(cut.stats.queries, grid_.num_pixels());
+}
+
+// The frame cache: a repeated viewport ships a copy of the first frame —
+// bitwise equal to a fresh render by another renderer, at the same tier,
+// with zero refinement work — per-pixel and tile-shared alike.
+TEST_F(ResilientRendererTest, RepeatedViewportShipsTheCachedFrameBitwise) {
+  for (bool tile_shared : {false, true}) {
+    SCOPED_TRACE(tile_shared ? "tile-shared" : "per-pixel");
+    ResilientRenderer renderer(&evaluator_);
+    ResilientRenderOptions options;
+    options.eps = 0.01;
+    options.parallel.tile_shared = tile_shared;
+    RenderOutcome first = renderer.Render(grid_, options);
+    ASSERT_EQ(first.tier, QualityTier::kCertified);
+    EXPECT_EQ(first.cache, RenderOutcome::Cache::kMiss);
+    EXPECT_GT(first.stats.iterations, 0u);
+
+    RenderOutcome repeat = renderer.Render(grid_, options);
+    EXPECT_TRUE(repeat.from_cache());
+    EXPECT_TRUE(repeat.ok());
+    EXPECT_EQ(repeat.tier, QualityTier::kCertified);
+    EXPECT_EQ(repeat.certified_eps, 0.01);
+    EXPECT_EQ(repeat.stats.frontier_cache_hits, 1u);
+    EXPECT_EQ(repeat.stats.iterations, 0u);
+    EXPECT_EQ(repeat.stats.queries, 0u);
+    EXPECT_EQ(repeat.stats.tile_nodes_visited, 0u);
+
+    ResilientRenderer fresh_renderer(&evaluator_);
+    RenderOutcome fresh = fresh_renderer.Render(grid_, options);
+    EXPECT_FALSE(fresh.from_cache());
+    ASSERT_EQ(repeat.frame.values.size(), fresh.frame.values.size());
+    for (size_t i = 0; i < fresh.frame.values.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(repeat.frame.values[i]),
+                std::bit_cast<uint64_t>(fresh.frame.values[i]))
+          << "pixel " << i;
+    }
+  }
+}
+
+// Per-pixel and tile-shared frames of one viewport differ in their bits,
+// and so do chunkings and ε: none of them may answer for another.
+TEST_F(ResilientRendererTest, FrameCacheKeysSeparateModesChunksAndEps) {
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  options.parallel.tile_shared = true;
+  ASSERT_FALSE(renderer.Render(grid_, options).from_cache());
+  options.parallel.tile_shared = false;
+  EXPECT_FALSE(renderer.Render(grid_, options).from_cache());
+  options.parallel.tile_shared = true;
+  options.parallel.tile_rows = 4;
+  EXPECT_FALSE(renderer.Render(grid_, options).from_cache());
+  options.eps = 0.02;
+  EXPECT_FALSE(renderer.Render(grid_, options).from_cache());
+  options.parallel.num_threads = 4;  // thread counts share an entry
+  EXPECT_TRUE(renderer.Render(grid_, options).from_cache());
+  PixelGrid other(grid_.width(), grid_.height() + 1, grid_.domain());
+  EXPECT_FALSE(renderer.Render(other, options).from_cache());
+
+  // Every entry, once filled, answers its own mode.
+  options.eps = 0.01;
+  options.parallel.tile_rows = 16;
+  options.parallel.num_threads = 1;
+  for (bool tile_shared : {false, true}) {
+    options.parallel.tile_shared = tile_shared;
+    RenderOutcome hit = renderer.Render(grid_, options);
+    EXPECT_TRUE(hit.from_cache());
+    ResilientRenderer fresh_renderer(&evaluator_);
+    EXPECT_EQ(hit.frame.values,
+              fresh_renderer.Render(grid_, options).frame.values);
+  }
+}
+
+// A brownout cap decides the tier of a hit as it does of a render: a frame
+// cached by a certified render ships progressive under the cap, and one a
+// capped render cached ships certified without it.
+TEST_F(ResilientRendererTest, CachedFrameShipsAtTheTierOfItsRequest) {
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  ASSERT_EQ(renderer.Render(grid_, options).tier, QualityTier::kCertified);
+  options.max_tier = QualityTier::kProgressive;
+  RenderOutcome capped = renderer.Render(grid_, options);
+  EXPECT_TRUE(capped.from_cache());
+  EXPECT_EQ(capped.tier, QualityTier::kProgressive);
+  EXPECT_LT(capped.certified_eps, 0.0);
+
+  options.eps = 0.02;
+  RenderOutcome capped_render = renderer.Render(grid_, options);
+  EXPECT_FALSE(capped_render.from_cache());
+  EXPECT_EQ(capped_render.tier, QualityTier::kProgressive);
+  options.max_tier = QualityTier::kCertified;
+  RenderOutcome certified = renderer.Render(grid_, options);
+  EXPECT_TRUE(certified.from_cache());
+  EXPECT_EQ(certified.tier, QualityTier::kCertified);
+  EXPECT_EQ(certified.certified_eps, 0.02);
+}
+
+// A frame the deadline cut short never enters the cache; neither does a
+// render that skipped the certified attempt.
+TEST_F(ResilientRendererTest, CutShortFramesAreNeverCached) {
+  ResilientRenderer renderer(&evaluator_);
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  options.budget_seconds = 0.05;  // 50 reads of the ticking clock
+  {
+    TickingClock clock;
+    ScopedClockOverride ticking(&clock);
+    ASSERT_TRUE(renderer.Render(grid_, options).deadline_expired);
+  }
+  options.budget_seconds = 0.0;  // zero budget: no attempt, no lookup
+  EXPECT_EQ(renderer.Render(grid_, options).cache,
+            RenderOutcome::Cache::kSkipped);
+  options.budget_seconds = -1.0;
+  RenderOutcome after = renderer.Render(grid_, options);
+  EXPECT_EQ(after.cache, RenderOutcome::Cache::kMiss);
+  EXPECT_EQ(after.tier, QualityTier::kCertified);
+  EXPECT_TRUE(renderer.Render(grid_, options).from_cache());
+}
+
+// A clock that raises `token` on its `at`-th read: cancels a render in the
+// middle of its frame, deterministically.
+class CancellingClock : public Clock {
+ public:
+  CancellingClock(const CancelToken* token, uint64_t at)
+      : token_(token), at_(at) {}
+  double NowSeconds() const override {
+    if (reads_.fetch_add(1, std::memory_order_relaxed) + 1 == at_) {
+      token_->RequestCancel();
+    }
+    return 0.0;
+  }
+  void WaitFor(double /*seconds*/, Waker* /*waker*/) override {}
+
+ private:
+  const CancelToken* token_;
+  uint64_t at_;
+  mutable std::atomic<uint64_t> reads_{0};
+};
+
+TEST_F(ResilientRendererTest, CancelledFramesAreNeverCached) {
+  ResilientRenderer renderer(&evaluator_);
+  CancelToken cancel;
+  ResilientRenderOptions options;
+  options.eps = 0.01;
+  options.budget_seconds = 1000.0;  // the deadline polls read the clock
+  options.cancel = &cancel;
+  RenderOutcome cancelled;
+  {
+    CancellingClock clock(&cancel, 40);
+    ScopedClockOverride cancelling(&clock);
+    cancelled = renderer.Render(grid_, options);
+  }
+  ASSERT_TRUE(cancelled.cancelled);
+  EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled);
+  EXPECT_GT(cancelled.stats.queries, 0u);
+
+  options.cancel = nullptr;
+  RenderOutcome after = renderer.Render(grid_, options);
+  EXPECT_EQ(after.cache, RenderOutcome::Cache::kMiss);
+  EXPECT_EQ(after.tier, QualityTier::kCertified);
 }
 
 // A per-pixel frame cut mid-way by the deadline never ships its partial
@@ -235,9 +401,11 @@ TEST_F(ResilientRendererTest, BrownoutCapRendersCallerOnly) {
   EXPECT_TRUE(outcome.stats.completed);
   ExpectFinite(outcome.frame);
 
-  // Uncapped, the same request fans out over the pool.
+  // Uncapped, the same request fans out over the pool (on another renderer:
+  // this one would answer it from its frame cache).
   options.max_tier = QualityTier::kCertified;
-  outcome = renderer.Render(grid_, options);
+  ResilientRenderer uncapped(&evaluator_);
+  outcome = uncapped.Render(grid_, options);
   EXPECT_GT(pool.submitted, 0);
   EXPECT_EQ(outcome.tier, QualityTier::kCertified);
 }
@@ -409,6 +577,36 @@ TEST_F(ChaosSweepTest, NumericFaultInRefinementIsClampedAndCounted) {
   EXPECT_GT(outcome.numeric_faults, 0u);
   // Clamped pixels lose their certificate, so the frame must not claim one.
   EXPECT_NE(outcome.tier, QualityTier::kCertified);
+}
+
+// Frames with clamped pixels (refine.step=nan) or an injected fault
+// (viz.render, runner.eps) are never cached: once the fault clears, the
+// same request renders again, certified.
+TEST_F(ChaosSweepTest, FaultedOrClampedFramesAreNeverCached) {
+  for (const char* site : {"refine.step", "viz.render", "runner.eps"}) {
+    SCOPED_TRACE(site);
+    failpoint::Reset();
+    ASSERT_TRUE(failpoint::Arm(site, std::string(site) == "refine.step"
+                                         ? failpoint::Action::kNaN
+                                         : failpoint::Action::kError)
+                    .ok());
+    ResilientRenderer renderer(&evaluator_);
+    ResilientRenderOptions options;
+    options.eps = 0.05;
+    for (bool tile_shared : {false, true}) {
+      options.parallel.tile_shared = tile_shared;
+      RenderOutcome faulted = renderer.Render(grid_, options);
+      EXPECT_EQ(faulted.cache, RenderOutcome::Cache::kMiss);
+      EXPECT_NE(faulted.tier, QualityTier::kCertified);
+    }
+    failpoint::Reset();
+    for (bool tile_shared : {false, true}) {
+      options.parallel.tile_shared = tile_shared;
+      RenderOutcome after = renderer.Render(grid_, options);
+      EXPECT_EQ(after.cache, RenderOutcome::Cache::kMiss);
+      EXPECT_EQ(after.tier, QualityTier::kCertified);
+    }
+  }
 }
 
 TEST_F(ChaosSweepTest, DelayInTheScheduleTripsTheDeadline) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,10 +25,12 @@
 
 #include "core/kdv_runner.h"
 #include "data/datasets.h"
+#include "obs/metrics.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
+#include "viz/viewport_stream.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -184,6 +187,22 @@ TEST_F(BreakerTest, FailedProbeReopensAndRestartsCooldown) {
   EXPECT_FALSE(breaker_.AllowCertified());
   clock_.SetTime(2.6);
   EXPECT_TRUE(breaker_.AllowCertified());
+}
+
+TEST_F(BreakerTest, UntestedAttemptsNeitherBreakTheRunNorCloseIt) {
+  breaker_.RecordFault();
+  breaker_.RecordFault();
+  breaker_.RecordUntested();  // a frame-cache hit: the run stands
+  breaker_.RecordFault();
+  EXPECT_EQ(breaker_.state(), CircuitBreaker::State::kOpen);
+  clock_.SetTime(1.5);
+  ASSERT_TRUE(breaker_.AllowCertified());  // the half-open probe...
+  breaker_.RecordUntested();               // ...answered from the cache
+  EXPECT_EQ(breaker_.state(), CircuitBreaker::State::kHalfOpen);
+  EXPECT_TRUE(breaker_.AllowCertified());  // its slot went back
+  EXPECT_FALSE(breaker_.AllowCertified());
+  breaker_.RecordSuccess();
+  EXPECT_EQ(breaker_.state(), CircuitBreaker::State::kClosed);
 }
 
 // ---------------------------------------------------------------------------
@@ -515,7 +534,11 @@ TEST_F(RenderServiceTest, HotSwapUnderLoadDropsNoAdmittedRequest) {
   request.eps = 0.05;
 
   // Swap continuously while clients submit: every admitted request must
-  // resolve OK on whichever epoch it snapshotted.
+  // resolve OK on whichever epoch it snapshotted. The requests ask for
+  // fresh and repeated viewports. Frame-cache hits can finish a burst
+  // before the swapper's next flip, so the second half is sent only once
+  // the published epoch has moved past the one the first request ran on:
+  // the outcomes then span at least two epochs.
   std::atomic<bool> stop_swapping{false};
   std::thread swapper([&] {
     int flips = 0;
@@ -525,26 +548,148 @@ TEST_F(RenderServiceTest, HotSwapUnderLoadDropsNoAdmittedRequest) {
     }
   });
 
+  // Submit borrows each grid until its ticket resolves.
+  const ViewportStream viewports(grid_.width(), grid_.height(),
+                                 grid_.domain(), /*seed=*/7);
+  std::vector<PixelGrid> grids;
+  for (int i = 0; i < 96; ++i) grids.push_back(viewports.Request(i));
   std::vector<std::future<ServeOutcome>> tickets;
-  for (int i = 0; i < 96; ++i) {
-    StatusOr<std::future<ServeOutcome>> t = service.Submit(grid_, request);
-    if (t.ok()) tickets.push_back(*std::move(t));
+  auto submit = [&](int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      StatusOr<std::future<ServeOutcome>> t = service.Submit(grids[i], request);
+      if (t.ok()) tickets.push_back(*std::move(t));
+    }
+  };
+  submit(0, 48);
+  std::vector<ServeOutcome> outcomes;
+  uint64_t first_epoch = 0;
+  if (!tickets.empty()) {
+    outcomes.push_back(tickets.front().get());
+    first_epoch = outcomes.front().epoch;
   }
-  for (std::future<ServeOutcome>& t : tickets) {
-    ServeOutcome outcome = t.get();
-    EXPECT_TRUE(outcome.ok()) << outcome.status.ToString();
-    ExpectFinite(outcome.render.frame);
+  while (service.stats().epoch <= first_epoch) std::this_thread::yield();
+  submit(48, 96);
+  for (size_t i = outcomes.size(); i < tickets.size(); ++i) {
+    outcomes.push_back(tickets[i].get());
   }
   stop_swapping.store(true);
   swapper.join();
   service.Stop();
 
+  std::set<uint64_t> epochs;
+  for (const ServeOutcome& outcome : outcomes) {
+    EXPECT_TRUE(outcome.ok()) << outcome.status.ToString();
+    ExpectFinite(outcome.render.frame);
+    epochs.insert(outcome.epoch);
+  }
+  EXPECT_GE(epochs.size(), 2u);
   ServiceStats stats = service.stats();
   EXPECT_EQ(stats.completed, static_cast<uint64_t>(tickets.size()));
   EXPECT_EQ(stats.served_ok, static_cast<uint64_t>(tickets.size()));
   EXPECT_GE(stats.swaps, 2u);  // the initial publication plus the churn
   EXPECT_EQ(stats.epoch, stats.swaps);
   EXPECT_EQ(service.Health(), ServiceHealth::kServing);
+}
+
+// A repeated viewport ships from the epoch renderer's frame cache: the same
+// pixels, no refinement. The outcome, the request's trace span, the
+// service counters and the registry all record the hit.
+TEST_F(RenderServiceTest, RepeatedViewportIsServedFromTheFrameCache) {
+  obs::Counter* hits_total =
+      obs::MetricsRegistry::Global().GetCounter("kdv_frame_cache_hits_total");
+  obs::Counter* misses_total = obs::MetricsRegistry::Global().GetCounter(
+      "kdv_frame_cache_misses_total");
+  const uint64_t hits_before = hits_total->value();
+  const uint64_t misses_before = misses_total->value();
+
+  RenderService::Options options;
+  options.num_threads = 1;
+  RenderService service(&evaluator_, options);
+  ServeRequestOptions request;
+  request.eps = 0.05;
+  auto serve = [&service, &request](const PixelGrid& grid) {
+    StatusOr<std::future<ServeOutcome>> t = service.Submit(grid, request);
+    if (!t.ok()) {
+      ADD_FAILURE() << t.status().ToString();
+      return ServeOutcome();
+    }
+    return t->get();
+  };
+  const ServeOutcome first = serve(grid_);
+  ASSERT_TRUE(first.ok());
+  EXPECT_FALSE(first.render.from_cache());
+  EXPECT_FALSE(
+      obs::MetricsRegistry::Global().Snapshot().traces.back().frame_cache_hit);
+
+  const ServeOutcome repeat = serve(grid_);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(repeat.render.from_cache());
+  EXPECT_EQ(repeat.render.tier, QualityTier::kCertified);
+  EXPECT_EQ(repeat.render.stats.iterations, 0u);
+  EXPECT_EQ(repeat.render.frame.values, first.render.frame.values);
+  EXPECT_TRUE(
+      obs::MetricsRegistry::Global().Snapshot().traces.back().frame_cache_hit);
+
+  Rect left_half = grid_.domain();
+  left_half.set_hi(0, 0.5 * (left_half.lo(0) + left_half.hi(0)));
+  EXPECT_FALSE(serve(PixelGrid(grid_.width(), grid_.height(), left_half))
+                   .render.from_cache());
+  service.Stop();
+
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.frame_cache_hits, 1u);
+  EXPECT_EQ(stats.frame_cache_misses, 2u);
+  EXPECT_EQ(hits_total->value() - hits_before, 1u);
+  EXPECT_EQ(misses_total->value() - misses_before, 2u);
+}
+
+// Each epoch renderer has its own frame cache: after SwapEvaluator the same
+// viewport renders again on the new index, and no frame of the earlier
+// epoch is ever served.
+TEST_F(RenderServiceTest, SwappedEpochNeverServesAnEarlierEpochsFrame) {
+  Workbench other_bench(GenerateMixture(CrimeSpec(0.004)),
+                        KernelType::kGaussian);
+  KdeEvaluator other = other_bench.MakeEvaluator(Method::kQuad);
+
+  RenderService::Options options;
+  options.num_threads = 2;
+  options.tile_shared = true;
+  RenderService service(&evaluator_, options);
+  ServeRequestOptions request;
+  request.eps = 0.05;
+  auto serve = [&] {
+    StatusOr<std::future<ServeOutcome>> t = service.Submit(grid_, request);
+    if (!t.ok()) {
+      ADD_FAILURE() << t.status().ToString();
+      return ServeOutcome();
+    }
+    return t->get();
+  };
+  const ServeOutcome old_miss = serve();
+  const ServeOutcome old_hit = serve();
+  ASSERT_EQ(old_hit.epoch, 1u);
+  ASSERT_TRUE(old_hit.render.from_cache());
+
+  service.SwapEvaluator(&other);
+  const ServeOutcome swapped = serve();
+  EXPECT_EQ(swapped.epoch, 2u);
+  EXPECT_FALSE(swapped.render.from_cache());
+  EXPECT_EQ(swapped.render.tier, QualityTier::kCertified);
+  EXPECT_NE(swapped.render.frame.values, old_miss.render.frame.values);
+  ResilientRenderer fresh(&other);
+  ResilientRenderOptions ropts;
+  ropts.eps = request.eps;
+  ropts.parallel.tile_shared = true;
+  EXPECT_EQ(swapped.render.frame.values,
+            fresh.Render(grid_, ropts).frame.values);
+
+  const ServeOutcome swapped_hit = serve();
+  EXPECT_EQ(swapped_hit.epoch, 2u);
+  EXPECT_TRUE(swapped_hit.render.from_cache());
+  EXPECT_EQ(swapped_hit.render.frame.values, swapped.render.frame.values);
+  service.Stop();
+  EXPECT_EQ(service.stats().frame_cache_hits, 2u);
+  EXPECT_EQ(service.stats().frame_cache_misses, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -805,6 +950,71 @@ TEST_F(ServiceChaosTest, BreakerTripsServesCoarseDirectlyAndRecovers) {
     EXPECT_EQ(outcome.render.tier, QualityTier::kCertified);
     EXPECT_FALSE(outcome.breaker_open);
   }
+  EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kClosed);
+  service.Stop();
+}
+
+// A frame-cache hit never runs the certified path, so it tells the breaker
+// nothing: hits between faulting fresh renders do not reset the fault run,
+// and a half-open probe answered from the cache leaves the breaker
+// half-open until a request actually renders.
+TEST_F(ServiceChaosTest, FrameCacheHitsNeitherResetNorCloseTheBreaker) {
+  ManualClock clock;
+  RenderService::Options options;
+  options.num_threads = 1;
+  options.max_attempts = 1;  // one fault per fresh request
+  options.breaker.failure_threshold = 3;
+  options.breaker.cooldown_seconds = 60.0;
+  options.clock = &clock;
+  RenderService service(&evaluator_, options);
+  ServeRequestOptions request;
+  auto serve = [&service, &request](const PixelGrid& grid) {
+    StatusOr<std::future<ServeOutcome>> t = service.Submit(grid, request);
+    if (!t.ok()) {
+      ADD_FAILURE() << t.status().ToString();
+      return ServeOutcome();
+    }
+    return t->get();
+  };
+  const ViewportStream viewports(grid_.width(), grid_.height(),
+                                 grid_.domain(), /*seed=*/7);
+  uint64_t next_fresh = ViewportStream::kRepeated;
+  auto fresh = [&] { return viewports.Viewport(next_fresh++); };
+
+  // Cache the whole extent while the path is healthy, then break every
+  // render that runs (viz.render sits past the frame-cache lookup).
+  ASSERT_TRUE(serve(grid_).ok());
+  ASSERT_TRUE(
+      failpoint::Arm("viz.render", failpoint::Action::kError).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(service.breaker_state(), CircuitBreaker::State::kClosed);
+    const ServeOutcome hit = serve(grid_);
+    EXPECT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.render.from_cache());
+    EXPECT_EQ(serve(fresh()).status.code(), StatusCode::kInternal);
+  }
+  EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(service.stats().breaker_trips, 1u);
+
+  // After the cooldown, probes answered from the cache keep it half-open.
+  clock.SetTime(120.0);
+  for (int i = 0; i < 2; ++i) {
+    const ServeOutcome probe = serve(grid_);
+    EXPECT_TRUE(probe.ok());
+    EXPECT_FALSE(probe.breaker_open);
+    EXPECT_TRUE(probe.render.from_cache());
+    EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kHalfOpen);
+  }
+  // A probe that renders, and faults, reopens it...
+  EXPECT_FALSE(serve(fresh()).ok());
+  EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kOpen);
+  EXPECT_EQ(service.stats().breaker_trips, 2u);
+  // ...and one that renders cleanly closes it.
+  failpoint::Reset();
+  clock.SetTime(240.0);
+  const ServeOutcome healed = serve(fresh());
+  EXPECT_TRUE(healed.ok());
+  EXPECT_FALSE(healed.render.from_cache());
   EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kClosed);
   service.Stop();
 }

@@ -382,7 +382,6 @@ int CmdRender(const Flags& flags) {
         .Key("accepted").Value(stats.tile_accepted)
         .Key("pruned").Value(stats.tile_pruned)
         .Key("tiles_decided").Value(stats.tiles_decided)
-        .Key("frontier_cache_hits").Value(stats.frontier_cache_hits)
         .EndObject();
     w.Key("out").Value(out)
         .Key("build").Value(BuildStamp())
@@ -704,10 +703,12 @@ double Percentile(const std::vector<double>& sorted, double p) {
 
 // Closed-loop load generator against RenderService: --clients worker threads
 // each submit a request, wait for its outcome, and repeat until --requests
-// requests have been attempted. Prints throughput, latency percentiles, and
-// shed/degraded/retried counts, then verifies the serving invariants (only
-// kResourceExhausted rejections, only finite pixels) and exits non-zero if
-// any were violated.
+// requests have been attempted. Request i asks for viewport i of a
+// ViewportStream seeded by --seed: about half revisit one of a few
+// recurring viewports (frame-cache hits once rendered), the rest are fresh.
+// Prints throughput, latency percentiles, and shed/degraded/retried counts,
+// then verifies the serving invariants (only kResourceExhausted rejections,
+// only finite pixels) and exits non-zero if any were violated.
 int CmdServeSim(const Flags& flags) {
   Session s;
   if (!OpenSession(flags, &s)) return 1;
@@ -720,9 +721,10 @@ int CmdServeSim(const Flags& flags) {
   const int queue = flags.Has("queue") ? flags.Int("queue") : threads * 2;
   const double budget_ms = flags.Double("budget-ms");
   const int swap_after = flags.Has("swap-after") ? flags.Int("swap-after") : -1;
-  // Base seed for the client swarm's shed-backoff jitter (client c derives
-  // seed + c). Stamped into the JSON report alongside the build id so a
-  // captured run names everything needed to reproduce it.
+  // Base seed for the request viewports and the client swarm's
+  // shed-backoff jitter (client c derives seed + c). Stamped into the JSON
+  // report alongside the build id so a captured run names everything needed
+  // to reproduce it.
   const uint64_t swarm_seed = flags.Uint64("seed");
   // Runtime self-defense (all opt-in).
   const bool use_governor = flags.Bool("governor");
@@ -749,7 +751,8 @@ int CmdServeSim(const Flags& flags) {
   // Workbench::MakeEvaluator mutates its bound-function caches and is not
   // thread-safe. The evaluators themselves are safe to share.
   KdeEvaluator next_evaluator = s.bench->MakeEvaluator(s.method);
-  PixelGrid grid(s.width, s.height, s.bench->data_bounds());
+  const ViewportStream viewports(s.width, s.height, s.bench->data_bounds(),
+                                 swarm_seed);
 
   RenderService::Options options;
   options.num_threads = threads;
@@ -847,7 +850,9 @@ int CmdServeSim(const Flags& flags) {
                             /*max_ms=*/5.0, /*jitter=*/0.5},
                            /*seed=*/swarm_seed + static_cast<uint64_t>(c));
       for (;;) {
-        if (next.fetch_add(1) >= requests) break;
+        const long i = next.fetch_add(1);
+        if (i >= requests) break;
+        const PixelGrid grid = viewports.Request(static_cast<uint64_t>(i));
         Timer lat;
         bool served = false;
         shed_backoff.Reset();
@@ -967,7 +972,10 @@ int CmdServeSim(const Flags& flags) {
     w.EndObject();
     w.Key("tile_shared").BeginObject()
         .Key("enabled").Value(options.tile_shared)
-        .Key("frontier_cache_hits").Value(stats.frontier_cache_hits)
+        .EndObject();
+    w.Key("frame_cache").BeginObject()
+        .Key("hits").Value(stats.frame_cache_hits)
+        .Key("misses").Value(stats.frame_cache_misses)
         .EndObject();
     w.Key("simd").Value(SimdLevelName(ActiveSimdLevel()));
     w.Key("health").BeginObject()
@@ -1058,10 +1066,11 @@ int CmdServeSim(const Flags& flags) {
                 health_final.c_str(),
                 static_cast<unsigned long long>(stats.epoch),
                 static_cast<unsigned long long>(stats.swaps));
-    if (options.tile_shared) {
-      std::printf("  tile-shared: on, %llu frontier cache hit(s)\n",
-                  static_cast<unsigned long long>(stats.frontier_cache_hits));
-    }
+    std::printf("  tile-shared: %s, frame cache: %llu hit(s), %llu "
+                "miss(es)\n",
+                options.tile_shared ? "on" : "off",
+                static_cast<unsigned long long>(stats.frame_cache_hits),
+                static_cast<unsigned long long>(stats.frame_cache_misses));
     std::printf("  simd: %s\n", SimdLevelName(ActiveSimdLevel()));
     if (use_governor) {
       std::printf("  governor: level %s (max %s), pressure %.3f, "
@@ -1203,6 +1212,8 @@ void PrintSimJson(const SimReport& report) {
       .Key("completions").Value(report.completions)
       .Key("certified").Value(report.certified)
       .Key("degraded").Value(report.degraded)
+      .Key("frame_cache_hits").Value(report.frame_cache_hits)
+      .Key("frame_cache_misses").Value(report.frame_cache_misses)
       .Key("journal_appends").Value(report.journal_appends)
       .Key("checkpoints").Value(report.checkpoints)
       .Key("swaps").Value(report.swaps)
@@ -1503,7 +1514,8 @@ std::vector<Command> Commands() {
               F::Choice("on-deadline", "degrade|fail",
                         "budget missed: lower tier, or fail", "degrade"),
               F::Int("swap-after", "hot-swap after N requests").AtLeast(0),
-              F::Uint64("seed", "client backoff jitter seed", 0xC11E47),
+              F::Uint64("seed", "viewport stream and backoff jitter seed",
+                        0xC11E47),
               F::Bool("governor", "brownout under overload"),
               // Converted to a uint64_t byte count: 1e12 MiB keeps it
               // below 2^64 bytes.
