@@ -7,6 +7,10 @@
 
 namespace kdv {
 
+namespace {
+
+// Distance, in data-space units, beyond which a point's kernel value falls
+// below `truncation` (0 < truncation < 1).
 double TruncationRadius(const KernelParams& params, double truncation) {
   KDV_CHECK(truncation > 0.0 && truncation < 1.0);
   if (HasFiniteSupport(params.type)) {
@@ -19,6 +23,8 @@ double TruncationRadius(const KernelParams& params, double truncation) {
   }
   return x_cut / params.gamma;  // x = gamma * d
 }
+
+}  // namespace
 
 GridKde::GridKde(const KdTree& tree, const KernelParams& params,
                  const Rect& domain, const Options& options)
@@ -56,20 +62,6 @@ GridKde::GridKde(const KdTree& tree, const KernelParams& params,
     }
     row_start_.push_back(static_cast<int>(col_.size()));
   }
-  if (options.precompute) {
-    // Convolve once: density at every cell center, so queries are O(1)
-    // bilinear lookups. Costs grid^2 direct evaluations up front — callers
-    // that render many frames per dataset (the serve brownout tier, behind
-    // its per-epoch cache) amortize it; one-shot callers should leave
-    // precompute off.
-    table_.resize(static_cast<size_t>(grid_size_) * grid_size_);
-    for (int cy = 0; cy < grid_size_; ++cy) {
-      for (int cx = 0; cx < grid_size_; ++cx) {
-        table_[static_cast<size_t>(cy) * grid_size_ + cx] =
-            EvaluateDirect(CellCenter(cx, cy));
-      }
-    }
-  }
 }
 
 Point GridKde::CellCenter(int cx, int cy) const {
@@ -80,36 +72,6 @@ Point GridKde::CellCenter(int cx, int cy) const {
 }
 
 double GridKde::Evaluate(const Point& q) const {
-  if (table_.empty()) return EvaluateDirect(q);
-  // Bilinear interpolation between the four nearest cell centers; queries
-  // outside the domain clamp to the boundary cells.
-  auto axis_coord = [this](double q_coord, int axis, int* i0, double* frac) {
-    const double len = domain_.Length(axis);
-    const double u =
-        len > 0.0
-            ? (q_coord - domain_.lo(axis)) / len * grid_size_ - 0.5
-            : 0.0;
-    const double clamped =
-        std::clamp(u, 0.0, static_cast<double>(grid_size_ - 1));
-    *i0 = std::min(static_cast<int>(clamped), grid_size_ - 2);
-    if (*i0 < 0) *i0 = 0;  // grid_size_ == 1
-    *frac = std::clamp(clamped - *i0, 0.0, 1.0);
-  };
-  int x0 = 0, y0 = 0;
-  double fx = 0.0, fy = 0.0;
-  axis_coord(q[0], 0, &x0, &fx);
-  axis_coord(q[1], 1, &y0, &fy);
-  const int x1 = std::min(x0 + 1, grid_size_ - 1);
-  const int y1 = std::min(y0 + 1, grid_size_ - 1);
-  auto at = [this](int cx, int cy) {
-    return table_[static_cast<size_t>(cy) * grid_size_ + cx];
-  };
-  const double top = at(x0, y0) + fx * (at(x1, y0) - at(x0, y0));
-  const double bot = at(x0, y1) + fx * (at(x1, y1) - at(x0, y1));
-  return top + fy * (bot - top);
-}
-
-double GridKde::EvaluateDirect(const Point& q) const {
   // Cell ranges overlapping the truncation disc around q.
   const double cell_w = domain_.Length(0) / grid_size_;
   const double cell_h = domain_.Length(1) / grid_size_;

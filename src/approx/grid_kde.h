@@ -7,7 +7,9 @@
 // guarantee (binning + truncation error is unbounded relative to ε at
 // low-density pixels) — which is precisely why the paper's εKDV/τKDV
 // problem statements exclude this camp. Included as a baseline to
-// demonstrate that trade-off.
+// demonstrate that trade-off (bench_ext_gridkde); nothing on the serve path
+// uses it: the serve layer's coarse tier is a certified εKDV frame at a
+// relaxed ε (serve/resilient_renderer.h).
 #ifndef QUADKDV_APPROX_GRID_KDE_H_
 #define QUADKDV_APPROX_GRID_KDE_H_
 
@@ -22,38 +24,24 @@
 
 namespace kdv {
 
-// Distance, in data-space units, beyond which a point's kernel value falls
-// below `truncation` (0 < truncation < 1): GridKde drops contributions from
-// farther than this.
-double TruncationRadius(const KernelParams& params, double truncation);
-
 // Thread safety: the binned grid is built in the constructor and only read
 // afterwards (all query methods are const with no caching), so one GridKde
-// may be shared across threads. The serving path's coarse tier does so: its
-// renderer caches one instance per domain and options.
+// may be shared across threads.
 class GridKde {
  public:
   struct Options {
     int grid_size = 256;        // cells per axis
     double truncation = 1e-4;   // drop kernel contributions below this value
-    // Convolve the binned counts onto the grid once at construction and
-    // answer Evaluate/RenderFrame by bilinear interpolation of that table.
-    // Queries become O(1) instead of O(occupied cells in the truncation
-    // window) — the serve layer's brownout tier turns this on (behind its
-    // per-epoch cache) so a browned-out service pays the convolution once,
-    // not per frame. Trade-offs: construction costs ~grid_size^2 direct
-    // evaluations, and queries outside the domain clamp to the boundary
-    // cell instead of decaying to zero.
-    bool precompute = false;
   };
 
   // Bins the tree's points over `domain`, reading the first two columns;
   // points outside the domain are skipped, so a caller that queries a
-  // viewport bins over the viewport grown by TruncationRadius. 2-d only.
+  // viewport bins over the viewport grown by truncation_radius(). 2-d only.
   GridKde(const KdTree& tree, const KernelParams& params, const Rect& domain,
           const Options& options);
 
-  // Approximate density at q (no guarantee).
+  // Approximate density at q (no guarantee): the kernel sum over occupied
+  // cells in the truncation window around q.
   double Evaluate(const Point& q) const;
 
   // Approximate densities for a whole frame.
@@ -67,8 +55,6 @@ class GridKde {
 
  private:
   Point CellCenter(int cx, int cy) const;
-  // Kernel sum over occupied cells in the truncation window around q.
-  double EvaluateDirect(const Point& q) const;
 
   KernelParams params_;
   Rect domain_;
@@ -84,9 +70,6 @@ class GridKde {
   std::vector<int> row_start_;   // grid_size + 1 entries
   std::vector<int> col_;         // cx per occupied cell
   std::vector<double> counts_;   // bin count per occupied cell
-  // Density at every cell center, row-major; empty unless
-  // Options::precompute. Queries bilinearly interpolate this table.
-  std::vector<double> table_;
 };
 
 }  // namespace kdv

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <new>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -50,11 +49,17 @@ void KdTree::FillRecords(const std::vector<Topology>& nodes) {
             kGranule * kGranule;
   num_nodes_ = nodes.size();
   const size_t total = num_nodes_ * stride_;
-  records_.reset(static_cast<double*>(::operator new[](
-      total * sizeof(double), std::align_val_t(kRecordAlign))));
-  std::fill(records_.get(), records_.get() + total, 0.0);  // padding too
+  // Aligned inside one plain, zeroed allocation (padding included): an
+  // aligned operator new splits a heap chunk, and the small leading fragment
+  // it frees can pin the heap below the next large allocation. Building an
+  // index repeatedly crept the main heap by 256 KiB per build that way.
+  record_storage_ = std::make_unique<double[]>(total + kGranule - 1);
+  void* aligned = record_storage_.get();
+  size_t space = (total + kGranule - 1) * sizeof(double);
+  records_ = static_cast<double*>(
+      std::align(kRecordAlign, total * sizeof(double), aligned, space));
   for (size_t id = 0; id < num_nodes_; ++id) {
-    double* rec = records_.get() + id * stride_;
+    double* rec = records_ + id * stride_;
     const Topology& t = nodes[id];
     std::memcpy(rec, &t, sizeof(t));
     NodeStats::Accumulate(coords_.data() + t.begin, num_points(), dim_,

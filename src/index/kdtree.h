@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -103,7 +102,7 @@ class KdTree {
   // stride in bytes. For layout checks; everything else reads node(id).
   const double* record(int32_t id) const {
     KDV_DCHECK(id >= 0 && static_cast<size_t>(id) < num_nodes_);
-    return records_.get() + static_cast<size_t>(id) * stride_;
+    return records_ + static_cast<size_t>(id) * stride_;
   }
   size_t record_bytes() const { return stride_ * sizeof(double); }
 
@@ -138,11 +137,6 @@ class KdTree {
 
  private:
   static constexpr size_t kTopologyDoubles = sizeof(Topology) / sizeof(double);
-  struct AlignedFree {
-    void operator()(double* p) const {
-      ::operator delete[](p, std::align_val_t(kRecordAlign));
-    }
-  };
 
   KdTree() = default;  // for FromSerialized
 
@@ -161,7 +155,8 @@ class KdTree {
 
   std::vector<double> coords_;  // dim_ columns of num_points() doubles
   std::vector<uint32_t> original_indices_;
-  std::unique_ptr<double[], AlignedFree> records_;
+  std::unique_ptr<double[]> record_storage_;
+  double* records_ = nullptr;  // record_storage_, advanced to kRecordAlign
   size_t num_nodes_ = 0;
   size_t stride_ = 0;  // doubles per record
   int dim_ = 0;

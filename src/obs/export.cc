@@ -113,6 +113,11 @@ std::string ExportJson(const MetricsSnapshot& snapshot) {
     w.Key("tier").Value(span.tier);
     w.Key("attempts").Value(span.attempts);
     w.Key("frame_cache_hit").Value(span.frame_cache_hit);
+    if (span.certified_eps >= 0.0) {
+      w.Key("certified_eps").Number(span.certified_eps, 6);
+    } else {
+      w.Key("certified_eps").Null();
+    }
     w.Key("ok").Value(span.ok);
     w.Key("total_seconds").Value(span.total_seconds);
     w.Key("stages").BeginObject();

@@ -10,13 +10,15 @@
 //   tile_pass   — shared-traversal region passes (core/tile_refiner),
 //                 summed across tiles (CPU seconds, not wall)
 //   refinement  — certified-path time not spent in tile passes
-//   coarse      — GridKde fallback renders
+//   coarse      — the coarse stand-in: a cache lookup, then an εKDV frame
+//                 at the relaxed ε_c
 //   scrub       — final non-finite scrub of the outgoing frame
 //   backoff     — retry backoff sleeps
 //
-// The epoch id, the delivered degradation tier and whether the frame came
-// from the epoch's frame cache ride along, so one span answers "why was
-// this request slow and what did it actually get".
+// The epoch id, the delivered degradation tier, the ε the served frame
+// certifies and whether the frame came from the epoch's frame cache ride
+// along, so one span answers "why was this request slow and what did it
+// actually get".
 //
 // All durations are measured by the caller through util/clock.h (Timer on
 // CurrentClock), never by this header — that keeps spans deterministic
@@ -67,6 +69,9 @@ struct TraceSpan {
   // (serve/frame_cache.h): no refinement ran for it.
   bool frame_cache_hit = false;
   bool ok = false;
+  // The ε the served frame certifies (RenderOutcome::certified_eps); < 0
+  // when it certifies none.
+  double certified_eps = -1.0;
   double total_seconds = 0.0;
   double stage_seconds[kNumTraceStages] = {};
 

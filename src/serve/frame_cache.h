@@ -10,8 +10,10 @@
 // its predecessor.
 //
 // Only frames that completed with zero numeric faults and an OK status are
-// inserted (ResilientRenderer::Render decides); a hit therefore carries the
-// guarantee of the render it copies.
+// inserted (ResilientRenderer decides); a hit therefore carries the
+// guarantee of the render it copies. A frame certified at ε' answers any
+// request for its viewport and mode at ε ≥ ε': a looser request hits a
+// tighter entry, and ships with the entry's ε.
 //
 // Thread safety: all operations take an internal mutex; cached frames are
 // immutable (shared_ptr<const DensityFrame>), so a hit is copied out
@@ -83,16 +85,29 @@ class FrameCache {
   FrameCache(const FrameCache&) = delete;
   FrameCache& operator=(const FrameCache&) = delete;
 
-  // Returns the cached frame for `key`, or nullptr.
-  std::shared_ptr<const DensityFrame> Lookup(const FrameKey& key) {
+  // A lookup's answer: the cached frame (null on a miss) and its ε.
+  struct Hit {
+    std::shared_ptr<const DensityFrame> frame;
+    double eps = 0.0;
+    explicit operator bool() const { return frame != nullptr; }
+  };
+
+  // Returns the tightest cached frame whose key equals `key` but for an ε
+  // no looser than key.eps, or a miss.
+  Hit Lookup(const FrameKey& key) {
     std::lock_guard<std::mutex> lock(mu_);
+    Slot* best = nullptr;
     for (Slot& slot : slots_) {
-      if (slot.key == key) {
-        slot.last_used = ++seq_;
-        return slot.frame;
+      FrameKey asked = key;
+      asked.eps = slot.key.eps;
+      if (asked == slot.key && slot.key.eps <= key.eps &&
+          (best == nullptr || slot.key.eps < best->key.eps)) {
+        best = &slot;
       }
     }
-    return nullptr;
+    if (best == nullptr) return Hit();
+    best->last_used = ++seq_;
+    return Hit{best->frame, best->key.eps};
   }
 
   // Publishes a finished frame, replacing an entry with the same key or,

@@ -514,18 +514,21 @@ void SimEnv::CheckOutcome(PendingRequest* req, const ServeOutcome& outcome) {
     }
   }
 
-  if (outcome.render.tier == QualityTier::kCertified &&
-      outcome.status.ok() && outcome.render.certified_eps >= 0 &&
+  if (outcome.render.tier != QualityTier::kCertified) {
+    ++report_.degraded;
+  }
+  if (outcome.status.ok() && outcome.render.certified_eps >= 0 &&
       outcome.render.numeric_faults == 0) {
-    ++report_.certified;
+    if (outcome.render.tier == QualityTier::kCertified) ++report_.certified;
     if (outcome.epoch == 0 || outcome.epoch > epochs_.size()) {
       Fail("certified outcome names unknown epoch " +
            std::to_string(outcome.epoch));
       return;
     }
-    // ε-oracle: sampled pixels of a certified frame must match the exact
-    // density of the epoch they rendered on, within the certified relative
-    // ε (paper guarantee |R - F| <= ε·F), plus float-order slack. A frame
+    // ε-oracle: sampled pixels of every frame that claims an ε — certified,
+    // or the coarse stand-in at its relaxed ε_c — must match the exact
+    // density of the epoch they rendered on, within the claimed relative ε
+    // (paper guarantee |R - F| <= ε·F), plus float-order slack. A frame
     // copied from the frame cache is held to the same check, so a frame of
     // another epoch or viewport fails it.
     const KdeEvaluator& eval = epochs_[outcome.epoch - 1]->eval;
@@ -546,8 +549,6 @@ void SimEnv::CheckOutcome(PendingRequest* req, const ServeOutcome& outcome) {
         return;
       }
     }
-  } else if (outcome.render.tier != QualityTier::kCertified) {
-    ++report_.degraded;
   }
 }
 

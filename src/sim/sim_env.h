@@ -32,8 +32,10 @@
 // a complete bug report.
 //
 // Invariants checked while driving (any violation fails the run):
-//   * ε-oracle: a certified frame's sampled pixels lie within the claimed
-//     relative ε of EvaluateExact on the epoch the frame was rendered by.
+//   * ε-oracle: the sampled pixels of every served frame that claims an ε
+//     (certified, or the coarse stand-in at its relaxed ε_c) lie within
+//     that relative ε of EvaluateExact on the epoch the frame was rendered
+//     by.
 //   * Frames are finite and correctly sized, whatever faults were active.
 //   * Breaker and governor transition logs contain only legal edges, at
 //     non-decreasing virtual times.
@@ -115,8 +117,8 @@ struct SimReport {
   uint64_t completions = 0;
   uint64_t certified = 0;
   uint64_t degraded = 0;
-  // Certified attempts served from the frame cache, and those that looked
-  // it up and rendered (ServiceStats at the end of the run).
+  // Renders served from the frame cache, and those that looked it up and
+  // missed (ServiceStats at the end of the run).
   uint64_t frame_cache_hits = 0;
   uint64_t frame_cache_misses = 0;
   uint64_t journal_appends = 0;

@@ -87,7 +87,7 @@ const std::vector<std::string>& AllSites() {
       "progressive.op",      // RenderProgressive per-region-op
       "viz.render",          // whole-frame render entry (eps/tau/exact)
       "serve.render",        // ResilientRenderer::Render entry
-      "serve.coarse",        // ResilientRenderer coarse (GridKde) stage
+      "serve.coarse",        // ResilientRenderer coarse stand-in stage
       "io.write",            // atomic/journal writes: short write, then fail
       "io.fsync",            // data written, fsync reports failure
       "io.rename",           // temp complete+synced, rename never happens

@@ -1,6 +1,7 @@
 // FrameCache: the per-epoch LRU cache of finished εKDV frames
 // (serve/frame_cache.h). Covers LRU order, capacity (the default 16, 1 and
-// the disabled 0), every key field, same-key replacement, the MemBudget
+// the disabled 0), every key field, ε matching (a looser request hits a
+// tighter entry, never the reverse), same-key replacement, the MemBudget
 // charge each entry holds, and concurrent Lookup/Insert.
 #include "serve/frame_cache.h"
 
@@ -27,6 +28,13 @@ FrameKey KeyFor(double eps) {
   return key;
 }
 
+// The key of viewport `i` at ε = 0.05: viewports differ in their domain.
+FrameKey ViewKey(int i) {
+  FrameKey key = KeyFor(0.05);
+  key.lo0 = -static_cast<double>(i);
+  return key;
+}
+
 // A 4x3 frame whose every pixel is `fill`, so a hit names its insert.
 std::shared_ptr<const DensityFrame> FrameWith(double fill) {
   return std::make_shared<const DensityFrame>(4, 3, fill);
@@ -34,7 +42,7 @@ std::shared_ptr<const DensityFrame> FrameWith(double fill) {
 
 TEST(FrameCacheTest, LookupMissesOnEmptyCache) {
   FrameCache cache;
-  EXPECT_EQ(cache.Lookup(KeyFor(0.05)), nullptr);
+  EXPECT_FALSE(cache.Lookup(KeyFor(0.05)));
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -42,12 +50,14 @@ TEST(FrameCacheTest, InsertThenLookupHits) {
   FrameCache cache;
   const FrameKey key = KeyFor(0.05);
   cache.Insert(key, FrameWith(3.0));
-  std::shared_ptr<const DensityFrame> frame = cache.Lookup(key);
-  ASSERT_NE(frame, nullptr);
-  EXPECT_EQ(frame->values, std::vector<double>(12, 3.0));
+  const FrameCache::Hit hit = cache.Lookup(key);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.frame->values, std::vector<double>(12, 3.0));
+  EXPECT_EQ(hit.eps, 0.05);
 }
 
-// A frame depends on every key field: changing any one of them must miss.
+// A frame depends on every key field but ε: changing any one of them must
+// miss, at the entry's ε and at a looser one.
 TEST(FrameCacheTest, KeyDiffersByEveryField) {
   const std::vector<std::function<void(FrameKey*)>> changes = {
       [](FrameKey* k) { k->width = 5; },
@@ -56,18 +66,43 @@ TEST(FrameCacheTest, KeyDiffersByEveryField) {
       [](FrameKey* k) { k->lo1 = -0.5; },
       [](FrameKey* k) { k->hi0 = 2.0; },
       [](FrameKey* k) { k->hi1 = 2.0; },
-      [](FrameKey* k) { k->eps = 0.1; },
       [](FrameKey* k) { k->tile_shared = false; },
       [](FrameKey* k) { k->tile_rows = 8; },
   };
   for (size_t i = 0; i < changes.size(); ++i) {
     FrameCache cache;
     cache.Insert(KeyFor(0.05), FrameWith(1.0));
-    FrameKey other = KeyFor(0.05);
-    changes[i](&other);
-    EXPECT_EQ(cache.Lookup(other), nullptr) << "field " << i;
-    EXPECT_NE(cache.Lookup(KeyFor(0.05)), nullptr) << "field " << i;
+    for (double eps : {0.05, 0.15}) {
+      FrameKey other = KeyFor(eps);
+      changes[i](&other);
+      EXPECT_FALSE(cache.Lookup(other)) << "field " << i << " eps " << eps;
+    }
+    EXPECT_TRUE(cache.Lookup(KeyFor(0.05))) << "field " << i;
   }
+}
+
+// A frame certified at ε' holds for every ε >= ε': a looser request hits a
+// tighter entry and ships with the entry's ε; a tighter request misses a
+// looser one.
+TEST(FrameCacheTest, LooserRequestHitsTighterEntryNeverTheReverse) {
+  FrameCache cache;
+  cache.Insert(KeyFor(0.05), FrameWith(5.0));
+  FrameCache::Hit hit = cache.Lookup(KeyFor(0.15));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.eps, 0.05);
+  EXPECT_EQ(hit.frame->values[0], 5.0);
+  EXPECT_FALSE(cache.Lookup(KeyFor(0.04)));
+
+  // With both a tight and a loose entry, the tightest answer wins.
+  cache.Insert(KeyFor(0.01), FrameWith(1.0));
+  hit = cache.Lookup(KeyFor(0.15));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.eps, 0.01);
+  EXPECT_EQ(hit.frame->values[0], 1.0);
+  hit = cache.Lookup(KeyFor(0.04));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.eps, 0.01);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST(FrameCacheTest, KeyOfReadsGridAndOptions) {
@@ -96,61 +131,57 @@ TEST(FrameCacheTest, KeyOfReadsGridAndOptions) {
 
 TEST(FrameCacheTest, SameKeyInsertReplaces) {
   FrameCache cache(2);
-  const FrameKey key = KeyFor(0.05);
+  const FrameKey key = ViewKey(0);
   cache.Insert(key, FrameWith(1.0));
   cache.Insert(key, FrameWith(2.0));
-  std::shared_ptr<const DensityFrame> frame = cache.Lookup(key);
-  ASSERT_NE(frame, nullptr);
-  EXPECT_EQ(frame->values[0], 2.0);
+  const FrameCache::Hit hit = cache.Lookup(key);
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.frame->values[0], 2.0);
   // Replacement must not take a second slot: another key still fits
   // without evicting the replaced entry.
   EXPECT_EQ(cache.size(), 1u);
-  cache.Insert(KeyFor(0.1), FrameWith(9.0));
-  EXPECT_NE(cache.Lookup(key), nullptr);
-  EXPECT_NE(cache.Lookup(KeyFor(0.1)), nullptr);
+  cache.Insert(ViewKey(1), FrameWith(9.0));
+  EXPECT_TRUE(cache.Lookup(key));
+  EXPECT_TRUE(cache.Lookup(ViewKey(1)));
 }
 
 TEST(FrameCacheTest, EvictsLeastRecentlyUsed) {
   FrameCache cache(2);
-  const FrameKey a = KeyFor(0.01);
-  const FrameKey b = KeyFor(0.02);
-  const FrameKey c = KeyFor(0.03);
+  const FrameKey a = ViewKey(1);
+  const FrameKey b = ViewKey(2);
+  const FrameKey c = ViewKey(3);
   cache.Insert(a, FrameWith(1.0));
   cache.Insert(b, FrameWith(2.0));
   // Touch `a` so `b` becomes the least recently used entry.
-  ASSERT_NE(cache.Lookup(a), nullptr);
+  ASSERT_TRUE(cache.Lookup(a));
   cache.Insert(c, FrameWith(3.0));
-  EXPECT_NE(cache.Lookup(a), nullptr);
-  EXPECT_EQ(cache.Lookup(b), nullptr);
-  EXPECT_NE(cache.Lookup(c), nullptr);
+  EXPECT_TRUE(cache.Lookup(a));
+  EXPECT_FALSE(cache.Lookup(b));
+  EXPECT_TRUE(cache.Lookup(c));
 }
 
 // The default capacity holds sixteen viewports; the seventeenth evicts the
 // oldest.
 TEST(FrameCacheTest, DefaultCapacityIsSixteen) {
   FrameCache cache;
-  for (int i = 0; i < 16; ++i) {
-    cache.Insert(KeyFor(0.01 * (i + 1)), FrameWith(i));
-  }
+  for (int i = 0; i < 16; ++i) cache.Insert(ViewKey(i), FrameWith(i));
   EXPECT_EQ(cache.size(), 16u);
-  for (int i = 0; i < 16; ++i) {
-    EXPECT_NE(cache.Lookup(KeyFor(0.01 * (i + 1))), nullptr) << i;
-  }
-  cache.Insert(KeyFor(0.5), FrameWith(16.0));
+  for (int i = 0; i < 16; ++i) EXPECT_TRUE(cache.Lookup(ViewKey(i))) << i;
+  cache.Insert(ViewKey(16), FrameWith(16.0));
   EXPECT_EQ(cache.size(), 16u);
-  EXPECT_EQ(cache.Lookup(KeyFor(0.01)), nullptr);
-  EXPECT_NE(cache.Lookup(KeyFor(0.02)), nullptr);
-  EXPECT_NE(cache.Lookup(KeyFor(0.5)), nullptr);
+  EXPECT_FALSE(cache.Lookup(ViewKey(0)));
+  EXPECT_TRUE(cache.Lookup(ViewKey(1)));
+  EXPECT_TRUE(cache.Lookup(ViewKey(16)));
 }
 
 TEST(FrameCacheTest, CapacityOneKeepsNewestOnly) {
   FrameCache cache(1);
-  cache.Insert(KeyFor(0.01), FrameWith(1.0));
-  cache.Insert(KeyFor(0.02), FrameWith(2.0));
-  EXPECT_EQ(cache.Lookup(KeyFor(0.01)), nullptr);
-  std::shared_ptr<const DensityFrame> frame = cache.Lookup(KeyFor(0.02));
-  ASSERT_NE(frame, nullptr);
-  EXPECT_EQ(frame->values[0], 2.0);
+  cache.Insert(ViewKey(1), FrameWith(1.0));
+  cache.Insert(ViewKey(2), FrameWith(2.0));
+  EXPECT_FALSE(cache.Lookup(ViewKey(1)));
+  const FrameCache::Hit hit = cache.Lookup(ViewKey(2));
+  ASSERT_TRUE(hit);
+  EXPECT_EQ(hit.frame->values[0], 2.0);
 }
 
 TEST(FrameCacheTest, CapacityZeroDisablesCache) {
@@ -158,9 +189,9 @@ TEST(FrameCacheTest, CapacityZeroDisablesCache) {
   FrameCache cache(0, &budget);
   const FrameKey key = KeyFor(0.05);
   cache.Insert(key, FrameWith(1.0));  // must not crash, must not store
-  EXPECT_EQ(cache.Lookup(key), nullptr);
+  EXPECT_FALSE(cache.Lookup(key));
   cache.Insert(key, FrameWith(2.0));
-  EXPECT_EQ(cache.Lookup(key), nullptr);
+  EXPECT_FALSE(cache.Lookup(key));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(budget.used_bytes(), 0u);
 }
@@ -168,7 +199,7 @@ TEST(FrameCacheTest, CapacityZeroDisablesCache) {
 TEST(FrameCacheTest, NullFrameInsertIsIgnored) {
   FrameCache cache;
   cache.Insert(KeyFor(0.05), nullptr);
-  EXPECT_EQ(cache.Lookup(KeyFor(0.05)), nullptr);
+  EXPECT_FALSE(cache.Lookup(KeyFor(0.05)));
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -179,13 +210,13 @@ TEST(FrameCacheTest, EntriesChargeTheMemBudget) {
   const uint64_t frame_bytes = 12 * sizeof(double);
   {
     FrameCache cache(2, &budget);
-    cache.Insert(KeyFor(0.01), FrameWith(1.0));
+    cache.Insert(ViewKey(1), FrameWith(1.0));
     EXPECT_EQ(budget.used_bytes(MemSource::kFrameBuffers), frame_bytes);
-    cache.Insert(KeyFor(0.01), FrameWith(2.0));
+    cache.Insert(ViewKey(1), FrameWith(2.0));
     EXPECT_EQ(budget.used_bytes(MemSource::kFrameBuffers), frame_bytes);
-    cache.Insert(KeyFor(0.02), FrameWith(3.0));
+    cache.Insert(ViewKey(2), FrameWith(3.0));
     EXPECT_EQ(budget.used_bytes(MemSource::kFrameBuffers), 2 * frame_bytes);
-    cache.Insert(KeyFor(0.03), FrameWith(4.0));  // evicts 0.01
+    cache.Insert(ViewKey(3), FrameWith(4.0));  // evicts viewport 1
     EXPECT_EQ(budget.used_bytes(MemSource::kFrameBuffers), 2 * frame_bytes);
     EXPECT_EQ(budget.used_bytes(), 2 * frame_bytes);
   }
@@ -208,13 +239,12 @@ TEST(FrameCacheTest, ConcurrentLookupInsert) {
     threads.emplace_back([&cache, &hits, t] {
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int slot = (t + i) % 8;  // 8 keys over 4 entries
-        const FrameKey key = KeyFor(0.01 * (slot + 1));
+        const FrameKey key = ViewKey(slot);
         if (i % 3 == 0) {
           cache.Insert(key, FrameWith(static_cast<double>(slot)));
-        } else if (std::shared_ptr<const DensityFrame> frame =
-                       cache.Lookup(key)) {
+        } else if (const FrameCache::Hit hit = cache.Lookup(key)) {
           hits.fetch_add(1);
-          for (double v : frame->values) {
+          for (double v : hit.frame->values) {
             ASSERT_EQ(v, static_cast<double>(slot));
           }
         }

@@ -89,48 +89,6 @@ TEST(GridKdeTest, MassIsApproximatelyConserved) {
   EXPECT_DOUBLE_EQ(g.Evaluate(Point{100.0, 100.0}), 0.0);
 }
 
-TEST(GridKdeTest, PrecomputeMatchesDirectEvaluation) {
-  // The precomputed table holds exact direct evaluations at cell centers
-  // and interpolates between them, so: identical values at cell centers,
-  // close values everywhere on a smooth mixture, and out-of-domain queries
-  // clamp to the boundary instead of decaying to zero.
-  Workbench bench(GenerateMixture(CrimeSpec(0.003)), KernelType::kGaussian);
-  PixelGrid grid(24, 18, bench.data_bounds());
-
-  GridKde::Options options;
-  options.grid_size = 128;
-  GridKde direct(bench.tree(), bench.params(), bench.data_bounds(),
-                 options);
-  options.precompute = true;
-  GridKde tabled(bench.tree(), bench.params(), bench.data_bounds(),
-                 options);
-
-  DensityFrame direct_frame = direct.RenderFrame(grid);
-  DensityFrame tabled_frame = tabled.RenderFrame(grid);
-  const double floor = 1e-3 * ComputeMeanStd(direct_frame.values).mean;
-  EXPECT_LT(AverageRelativeError(tabled_frame.values, direct_frame.values,
-                                 floor),
-            0.02);
-
-  // A query placed exactly on a cell center hits one table entry with zero
-  // interpolation weight on its neighbors: bit-identical to direct.
-  const Rect& domain = bench.data_bounds();
-  Point center(2);
-  const int cell = 37;
-  center[0] = domain.lo(0) + (cell + 0.5) * domain.Length(0) / 128;
-  center[1] = domain.lo(1) + (cell + 0.5) * domain.Length(1) / 128;
-  EXPECT_DOUBLE_EQ(tabled.Evaluate(center), direct.Evaluate(center));
-
-  // Clamped, not zeroed, outside the domain (documented trade-off).
-  Point far(2);
-  far[0] = domain.hi(0) + 100.0;
-  far[1] = domain.hi(1) + 100.0;
-  EXPECT_DOUBLE_EQ(tabled.Evaluate(far),
-                   tabled.Evaluate(Point{
-                       domain.lo(0) + 127.5 * domain.Length(0) / 128,
-                       domain.lo(1) + 127.5 * domain.Length(1) / 128}));
-}
-
 TEST(GridKdeTest, MuchFasterThanExactOnLargeData) {
   Workbench bench(GenerateMixture(HomeSpec(0.02)), KernelType::kGaussian);
   PixelGrid grid(64, 48, bench.data_bounds());

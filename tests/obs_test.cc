@@ -255,6 +255,26 @@ TEST(ExportTest, JsonCarriesTheFrameCacheHit) {
       << json;
 }
 
+// A span names the ε its served frame certifies, or null when it certifies
+// none.
+TEST(ExportTest, JsonCarriesTheCertifiedEps) {
+  MetricsRegistry registry;
+  TraceSpan span;
+  span.request_id = 1;
+  registry.RecordTrace(span);
+  span.request_id = 2;
+  span.certified_eps = 0.15;
+  registry.RecordTrace(span);
+  const std::string json = ExportJson(registry.Snapshot());
+  EXPECT_TRUE(JsonValidate(json).ok());
+  EXPECT_NE(json.find("\"frame_cache_hit\":false,\"certified_eps\":null"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"frame_cache_hit\":false,\"certified_eps\":0.15"),
+            std::string::npos)
+      << json;
+}
+
 TEST(ExportTest, EmptySnapshotExportsCleanly) {
   const MetricsSnapshot empty;
   EXPECT_TRUE(JsonValidate(ExportJson(empty)).ok());

@@ -311,19 +311,50 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps) {
   std::unique_ptr<ThreadPool> pool = MakeTilePool(options.parallel.num_threads);
   options.tile_pool = pool.get();
   ResilientRenderer renderer(&evaluator);
+  Timer timer;
   RenderOutcome outcome = renderer.Render(grid, options);
+  const double seconds = timer.ElapsedSeconds();
 
   const std::string& out = flags.String("out");
   if (!RenderHeatMap(outcome.frame).WritePpm(out)) {
     std::fprintf(stderr, "kdvtool: cannot write %s\n", out.c_str());
     return 1;
   }
-  std::printf(
-      "εKDV (%s, eps=%g, budget=%gms): %dx%d tier=%s%s in %.3fs -> %s\n",
-      MethodName(s->method), eps, budget_ms, s->width, s->height,
-      QualityTierName(outcome.tier),
-      outcome.deadline_expired ? " (deadline expired)" : "",
-      outcome.stats.seconds, out.c_str());
+  if (flags.Bool("json")) {
+    const BatchStats& stats = outcome.stats;
+    JsonWriter w;
+    w.BeginObject()
+        .Key("method").Value(MethodName(s->method))
+        .Key("eps").Number(eps, 6)
+        .Key("budget_ms").Number(budget_ms, 6)
+        .Key("width").Value(s->width)
+        .Key("height").Value(s->height)
+        .Key("tier").Value(QualityTierName(outcome.tier))
+        .Key("deadline_expired").Value(outcome.deadline_expired);
+    if (outcome.certified_eps >= 0.0) {
+      w.Key("certified_eps").Number(outcome.certified_eps, 6);
+    } else {
+      w.Key("certified_eps").Null();
+    }
+    w.Key("seconds").Number(seconds, 6);
+    w.Key("work").BeginObject()
+        .Key("queries").Value(stats.queries)
+        .Key("iterations").Value(stats.iterations)
+        .Key("points_scanned").Value(stats.points_scanned)
+        .Key("nodes_visited").Value(stats.nodes_visited)
+        .EndObject();
+    w.Key("out").Value(out)
+        .Key("build").Value(BuildStamp())
+        .EndObject();
+    std::printf("%s\n", w.Take().c_str());
+  } else {
+    std::printf(
+        "εKDV (%s, eps=%g, budget=%gms): %dx%d tier=%s%s in %.3fs -> %s\n",
+        MethodName(s->method), eps, budget_ms, s->width, s->height,
+        QualityTierName(outcome.tier),
+        outcome.deadline_expired ? " (deadline expired)" : "", seconds,
+        out.c_str());
+  }
   const int metrics_rc = MaybeWriteMetricsOut(flags);
   if (!outcome.ok()) {
     PrintStatus(outcome.status);
