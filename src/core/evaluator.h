@@ -101,9 +101,12 @@ class KdeEvaluator {
   }
 
   // Tile-shared variant: the scratch stream is seeded from `frontier`
-  // (core/tile_refiner.h) instead of the tree root. The certificate is
-  // unchanged: |R(q) - F_P(q)| <= ε·F_P(q) for every q inside the tile the
-  // frontier was built for.
+  // (core/tile_refiner.h) instead of the tree root, or, when the scratch's
+  // previous query was q's left neighbour in a chunk row of the same
+  // frontier, from that query's final cut (RefinementStream::Reset(q,
+  // frontier)); the result then depends on that previous query. The
+  // certificate is unchanged: |R(q) - F_P(q)| <= ε·F_P(q) for every q
+  // inside the tile the frontier was built for.
   EvalResult EvaluateEpsSeeded(const Point& q, double eps,
                                const TileFrontier& frontier,
                                const QueryControl& control,

@@ -12,6 +12,20 @@
 
 namespace kdv {
 
+namespace {
+
+// Whether q lies right of `prev` in the same pixel row: every coordinate
+// but the first equal, the first larger.
+bool RightOfInRow(const Point& prev, const Point& q) {
+  if (prev.dim() != q.dim() || q.dim() < 1 || !(q[0] > prev[0])) return false;
+  for (int d = 1; d < q.dim(); ++d) {
+    if (q[d] != prev[d]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 RefinementStream::RefinementStream(const KdTree* tree,
                                    const KernelParams& params,
                                    const NodeBounds* bounds)
@@ -35,6 +49,8 @@ RefinementStream::RefinementStream(RefinementStream&& other) noexcept
       seed_nodes_(other.seed_nodes_),
       seed_count_(other.seed_count_),
       seed_next_(other.seed_next_),
+      cut_frontier_(other.cut_frontier_),
+      scanned_leaves_(std::move(other.scanned_leaves_)),
       lb_(other.lb_),
       ub_(other.ub_),
       best_lb_(other.best_lb_),
@@ -62,6 +78,8 @@ RefinementStream& RefinementStream::operator=(
   seed_nodes_ = other.seed_nodes_;
   seed_count_ = other.seed_count_;
   seed_next_ = other.seed_next_;
+  cut_frontier_ = other.cut_frontier_;
+  scanned_leaves_ = std::move(other.scanned_leaves_);
   lb_ = other.lb_;
   ub_ = other.ub_;
   best_lb_ = other.best_lb_;
@@ -82,7 +100,8 @@ RefinementStream::~RefinementStream() {
 }
 
 void RefinementStream::SyncCharge() {
-  const uint64_t cap = heap_.capacity() * sizeof(QueueEntry);
+  const uint64_t cap = heap_.capacity() * sizeof(QueueEntry) +
+                       scanned_leaves_.capacity() * sizeof(int32_t);
   if (cap > charged_bytes_) {
     MemBudget::Global().Charge(MemSource::kRefinementScratch,
                                cap - charged_bytes_);
@@ -95,6 +114,8 @@ void RefinementStream::Reset(const Point& q) {
   heap_.clear();  // keeps capacity: no per-query reallocation
   seed_nodes_ = nullptr;
   seed_count_ = seed_next_ = 0;
+  cut_frontier_ = 0;
+  scanned_leaves_.clear();
   lb_ = ub_ = best_lb_ = best_ub_ = 0.0;
   poisoned_ = false;
   iterations_ = 0;
@@ -133,12 +154,22 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
   // A τ tile with quadrants seeds each pixel from the quadrant holding it.
   const TileFrontier& seed = frontier.SeedFor(q);
   KDV_CHECK(seed.valid);
+  const bool reuse = frontier.id != 0 && frontier.id == cut_frontier_ &&
+                     !poisoned_ && RightOfInRow(q_, q);
   q_ = q;
-  heap_.clear();
   poisoned_ = false;
   iterations_ = 0;
   points_scanned_ = 0;
   node_evals_ = 0;
+  seed_nodes_ = seed.nodes.data();
+  seed_count_ = seed.nodes.size();
+  cut_frontier_ = frontier.id;
+  if (reuse) {
+    ReseedFromCut(seed);
+    return;
+  }
+  heap_.clear();
+  scanned_leaves_.clear();
 
   // Seed from the tile pass verbatim: the baseline plus each undecided
   // node's region interval is a certified envelope for every q in the tile,
@@ -146,8 +177,6 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
   // bound evaluations and ZERO heap traffic. Frontier nodes enter the heap
   // lazily (see Step()): only the nodes whose region slack actually blocks
   // termination ever cost an Evaluate or a heap insert.
-  seed_nodes_ = seed.nodes.data();
-  seed_count_ = seed.nodes.size();
   seed_next_ = 0;
   lb_ = seed.base_lower + seed.frontier_lower;
   ub_ = seed.base_upper + seed.frontier_upper;
@@ -155,6 +184,43 @@ void RefinementStream::Reset(const Point& q, const TileFrontier& frontier) {
     SetUniversalEnvelope();
     poisoned_ = true;
     return;
+  }
+  best_lb_ = lb_;
+  best_ub_ = ub_;
+  if (best_ub_ < best_lb_) best_ub_ = best_lb_;
+}
+
+void RefinementStream::ReseedFromCut(const TileFrontier& seed) {
+  // The frontier nodes the previous query never injected still hold their
+  // region intervals, valid for every pixel of the tile.
+  lb_ = seed.base_lower;
+  ub_ = seed.base_upper;
+  for (size_t i = seed_next_; i < seed_count_; ++i) {
+    lb_ += seed_nodes_[i].lower;
+    ub_ += seed_nodes_[i].upper;
+  }
+  // The rest of the cut — the heap's nodes and the leaves scanned since —
+  // is bounded afresh at q and heapified once.
+  for (const int32_t leaf : scanned_leaves_) heap_.push_back({0.0, leaf});
+  scanned_leaves_.clear();
+  SyncCharge();
+  for (QueueEntry& entry : heap_) {
+    BoundPair b = bounds_->Evaluate(tree_->node(entry.node).stats, q_);
+    KDV_FAILPOINT_CORRUPT("refine.step", b.lower, b.upper);
+    entry = {b.upper - b.lower, entry.node, b.lower, b.upper};
+    lb_ += b.lower;
+    ub_ += b.upper;
+  }
+  node_evals_ += heap_.size();
+  if (!IntervalAcceptable(lb_, ub_)) {
+    SetUniversalEnvelope();
+    poisoned_ = true;
+    return;
+  }
+  // Floyd's heap construction with the stream's own sift-down, so the
+  // layout, and with it the order the next reseed sums in, is this code's.
+  for (size_t hole = heap_.size() / 2; hole-- > 0;) {
+    SiftDown(hole, heap_[hole]);
   }
   best_lb_ = lb_;
   best_ub_ = ub_;
@@ -180,10 +246,9 @@ void RefinementStream::PopTop() {
   if (!heap_.empty()) ReplaceTop(last);
 }
 
-void RefinementStream::ReplaceTop(const QueueEntry& entry) {
+void RefinementStream::SiftDown(size_t hole, QueueEntry entry) {
   const size_t size = heap_.size();
-  size_t hole = 0;
-  for (size_t child = 1; child < size; child = 2 * hole + 1) {
+  for (size_t child = 2 * hole + 1; child < size; child = 2 * hole + 1) {
     if (child + 1 < size && PopsBefore(heap_[child + 1], heap_[child])) {
       ++child;
     }
@@ -254,6 +319,10 @@ bool RefinementStream::Step() {
       PopTop();
       double exact = LeafSum(node);
       points_scanned_ += node.count();
+      if (cut_frontier_ != 0) {
+        scanned_leaves_.push_back(top.node);
+        SyncCharge();
+      }
       lb_ += exact;
       ub_ += exact;
     } else {

@@ -8,9 +8,12 @@
 // Reuse: a stream may be constructed unprimed and primed per query with
 // Reset(q) — the priority-queue storage is retained across resets, so a tile
 // of thousands of pixels performs zero heap allocations after the first few
-// queries warm the buffer. A reset stream is indistinguishable from a
-// freshly constructed one (the parallel renderer's bit-identical-output
-// contract relies on this).
+// queries warm the buffer. A root reset, Reset(q), is indistinguishable
+// from a freshly constructed stream, and so is every seeded reset from a
+// frontier without an identity (τKDV): the per-pixel renderer's
+// bit-identical-output contract relies on this. A seeded εKDV reset may
+// instead carry the previous query's cut over (Reset(q, frontier) below),
+// so its result depends on the stream's previous query, by a fixed rule.
 //
 // Numerical hardening: every bound update is validated; if the bound math
 // ever produces a NaN/Inf total or a genuinely inverted interval (beyond
@@ -70,6 +73,18 @@ class RefinementStream {
   // so its pixels finish with zero steps. The frontier must be valid, built
   // for a tile containing q, and must outlive the stream's use of it (until
   // the next Reset); requires bounds != nullptr.
+  //
+  // Cut reuse along a chunk row. When the stream's previous query was
+  // seeded from the same frontier (equal nonzero TileFrontier::id), was not
+  // poisoned, and sat left of q in the same row (equal coordinates but the
+  // first, a smaller first), q starts from that query's final cut instead:
+  // its heap nodes and the leaves it scanned are re-evaluated at q (one
+  // Evaluate each) and heapified in one O(C) pass, and the frontier nodes
+  // it never injected keep their region intervals and are injected lazily
+  // as above. The cut covers every point not in the baseline exactly once,
+  // so its interval is certified for q like any other. Any other seeded
+  // reset — a row's first pixel, a new chunk or frame, a τ frontier (id 0)
+  // — primes from the frontier as described above.
   void Reset(const Point& q, const TileFrontier& frontier);
 
   // Performs one refinement step (pop the loosest node, replace it by its
@@ -118,11 +133,20 @@ class RefinementStream {
   void PopTop();
   // Overwrites the top entry with `entry` and restores the heap: one
   // sift-down in place of a pop and a push.
-  void ReplaceTop(const QueueEntry& entry);
-  // Charges any heap-capacity growth since the last sync to the global
-  // memory budget. Capacity never shrinks while the stream lives, so the
-  // delta is one-directional until the destructor releases it all.
+  void ReplaceTop(const QueueEntry& entry) { SiftDown(0, entry); }
+  // Puts `entry` at slot `hole` and sifts it down; the subtrees below
+  // `hole` must be heaps. By value: `entry` may be a copy of a slot the
+  // sift overwrites.
+  void SiftDown(size_t hole, QueueEntry entry);
+  // Charges any heap- or leaf-list-capacity growth since the last sync to
+  // the global memory budget. Capacity never shrinks while the stream
+  // lives, so the delta is one-directional until the destructor releases it
+  // all.
   void SyncCharge();
+  // The cut-reuse half of Reset(q, frontier): re-primes from the previous
+  // query's final cut (see there). seed_nodes_/seed_count_ already point at
+  // `seed`.
+  void ReseedFromCut(const TileFrontier& seed);
 
   double LeafSum(const KdTree::Node& node) const;
   // Freezes the stream after a numeric fault, discarding pending work.
@@ -148,6 +172,12 @@ class RefinementStream {
   const TileFrontier::Node* seed_nodes_ = nullptr;
   size_t seed_count_ = 0;
   size_t seed_next_ = 0;
+  // Cut reuse (see Reset(q, frontier)): the id of the frontier the current
+  // query was seeded from, 0 when its cut may not seed the next query (root
+  // resets, τ frontiers); and, while it is nonzero, the leaves the query
+  // has scanned, which are part of its cut but no longer in the heap.
+  uint64_t cut_frontier_ = 0;
+  std::vector<int32_t> scanned_leaves_;
   double lb_ = 0.0;       // raw running totals
   double ub_ = 0.0;
   double best_lb_ = 0.0;  // monotone envelope
@@ -156,7 +186,8 @@ class RefinementStream {
   uint64_t iterations_ = 0;
   uint64_t points_scanned_ = 0;
   uint64_t node_evals_ = 0;
-  // Bytes of heap_ capacity currently charged to the global MemBudget.
+  // Bytes of heap_ and scanned_leaves_ capacity currently charged to the
+  // global MemBudget.
   uint64_t charged_bytes_ = 0;
 };
 

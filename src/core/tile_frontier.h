@@ -6,7 +6,9 @@
 // interval of every node that *was* decided tile-wide (folded into
 // base_lower/base_upper). Each pixel of the tile then seeds its
 // RefinementStream from the frontier (Reset(q, frontier)) instead of the
-// tree root, so the shared part of the traversal is paid once per tile.
+// tree root, so the shared part of the traversal is paid once per tile. An
+// εKDV pixel right of another in a chunk row may start from that pixel's
+// final cut instead, which descends from the same frontier (see `id`).
 //
 // Soundness contract consumed by the stream: for every query q in the tile,
 //   base_lower + sum_{n in nodes} F_n(q) <= F_P(q)
@@ -84,6 +86,14 @@ struct TileFrontier {
   // inverted region bounds); consumers must fall back to per-pixel
   // refinement from the root.
   bool valid = false;
+
+  // Identity of the region pass that built this frontier: unique in the
+  // process and nonzero for εKDV frontiers (TileRefiner::BuildEps), 0 for
+  // τKDV ones and for frontiers built by hand. A seeded stream carries its
+  // cut from a pixel to its right neighbour only under one nonzero id
+  // (RefinementStream::Reset(q, frontier)), so the next chunk's or the next
+  // frame's frontier never inherits a cut, even at the same address.
+  uint64_t id = 0;
 
   // Region-pass work accounting (merged into BatchStats by the renderer).
   // nodes_visited includes the quadrant passes; accepted and pruned count

@@ -1,6 +1,7 @@
 #include "core/tile_refiner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -37,6 +38,9 @@ void RecordTilePass(const TileFrontier& out, double seconds) {
   if (out.valid && out.decided) o.decided->Increment();
   o.pass_seconds->Record(seconds);
 }
+
+// Source of TileFrontier::id for εKDV frontiers; 0 is never handed out.
+std::atomic<uint64_t> next_frontier_id{1};
 
 struct RegionEntry {
   double gap = 0.0;
@@ -97,6 +101,7 @@ TileFrontier TileRefiner::BuildEps(const Rect& query_rect, double eps) const {
   KDV_CHECK(eps >= 0.0);
   Timer timer;  // CurrentClock: virtual under sim, so metrics replay exactly
   TileFrontier out = Build(query_rect, /*eps_mode=*/true, eps);
+  out.id = next_frontier_id.fetch_add(1, std::memory_order_relaxed);
   RecordTilePass(out, timer.ElapsedSeconds());
   return out;
 }

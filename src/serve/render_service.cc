@@ -302,7 +302,7 @@ void RenderService::SwapEvaluator(const KdeEvaluator* evaluator) {
   KDV_CHECK(evaluator != nullptr);
   const uint64_t swap_number =
       swaps_.fetch_add(1, std::memory_order_relaxed) + 1;
-  auto epoch = std::make_shared<const Epoch>(evaluator, swap_number);
+  auto epoch = std::make_shared<const Epoch>(evaluator, swap_number, clock_);
   {
     std::lock_guard<std::mutex> lock(epoch_mu_);
     // The old epoch's refcount now belongs entirely to in-flight requests;

@@ -232,11 +232,12 @@ class RenderService {
     uint64_t backoff_seed = 0x5EEDBACC0FFull;
     CircuitBreaker::Options breaker;
     // The service's time source: breaker cooldowns, queue/total latencies,
-    // retry backoff sleeps. Null uses CurrentClock() (resolved once, at
-    // construction) — under the simulator that is the virtual clock, and
-    // tests install a ManualClock to step through cooldowns without
-    // sleeping. Also handed to the governor and watchdog unless they carry
-    // their own clock.
+    // retry backoff sleeps, and each request's deadline from admission
+    // through its certified attempt. Null uses CurrentClock() (resolved
+    // once, at construction) — under the simulator that is the virtual
+    // clock, and tests install a ManualClock to step through cooldowns
+    // without sleeping. Also handed to the governor and watchdog unless
+    // they carry their own clock.
     Clock* clock = nullptr;
     // Execution substrates, borrowed (must outlive the service). `executor`
     // runs request jobs; null makes the service own a ThreadPool of
@@ -340,10 +341,11 @@ class RenderService {
   struct Job;
 
   // One published evaluator generation. Immutable once published; shared by
-  // every request that snapshotted it while it was current.
+  // every request that snapshotted it while it was current. Its renderer
+  // times attempts on the service's clock.
   struct Epoch {
-    Epoch(const KdeEvaluator* evaluator, uint64_t id)
-        : renderer(evaluator), evaluator(evaluator), id(id) {}
+    Epoch(const KdeEvaluator* evaluator, uint64_t id, const Clock* clock)
+        : renderer(evaluator, clock), evaluator(evaluator), id(id) {}
     ResilientRenderer renderer;
     const KdeEvaluator* evaluator;
     uint64_t id;

@@ -111,8 +111,9 @@ const char* QualityTierName(QualityTier tier) {
   return "unknown";
 }
 
-ResilientRenderer::ResilientRenderer(const KdeEvaluator* evaluator)
-    : evaluator_(evaluator) {
+ResilientRenderer::ResilientRenderer(const KdeEvaluator* evaluator,
+                                     const Clock* clock)
+    : evaluator_(evaluator), clock_(clock) {
   KDV_CHECK(evaluator != nullptr);
 }
 
@@ -240,7 +241,8 @@ RenderOutcome ResilientRenderer::Render(
   // The certified attempt: one εKDV frame through the frame driver, on the
   // deadline. A brownout cap below kCertified runs it caller-only, so the
   // shared tile pool stays free for full-tier requests.
-  Deadline deadline(opts.budget_seconds > 0.0 ? opts.budget_seconds : 0.0);
+  Deadline deadline(opts.budget_seconds > 0.0 ? opts.budget_seconds : 0.0,
+                    clock_);
   QueryControl control = StopControl(opts);
   if (opts.budget_seconds > 0.0) control.deadline = &deadline;
   Executor* pool =

@@ -44,6 +44,7 @@
 #include "serve/frame_cache.h"
 #include "serve/watchdog.h"
 #include "util/cancel.h"
+#include "util/clock.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 #include "viz/frame.h"
@@ -151,8 +152,12 @@ class ResilientRenderer {
   // average-error bound (DESIGN.md §7).
   static constexpr double kCoarseEpsMultiple = 3.0;
 
-  // `evaluator` must outlive the renderer.
-  explicit ResilientRenderer(const KdeEvaluator* evaluator);
+  // `evaluator` must outlive the renderer. `clock` times the certified
+  // attempt's deadline: a RenderService passes its own clock, so the
+  // attempt and the request's queue deadline read one time source. Null
+  // uses CurrentClock() at each render. Borrowed; must outlive the renderer.
+  explicit ResilientRenderer(const KdeEvaluator* evaluator,
+                             const Clock* clock = nullptr);
 
   // Renders `grid` under `options`, never throwing and never returning a
   // non-finite pixel. See the ladder description above.
@@ -184,6 +189,7 @@ class ResilientRenderer {
                       RenderOutcome* outcome) const;
 
   const KdeEvaluator* evaluator_;
+  const Clock* clock_;  // null: CurrentClock() at each render
 
   // Finished frames of this renderer's evaluator, keyed by viewport and
   // query (serve/frame_cache.h). Internally synchronized.

@@ -25,11 +25,18 @@
 // Tile-shared mode (RenderOptions::tile_shared) amortizes the tree traversal
 // across the pixels of each chunk with one region-bound pass
 // (core/tile_refiner.h) and seeds every pixel's stream from the shared
-// frontier. Frames remain deterministic for any thread count (each chunk's
-// pass runs once, and both it and the seeded per-pixel refinement are
-// deterministic) but are not bitwise equal to the per-pixel path: whole
-// chunks may be answered from region bounds alone. The εKDV/τKDV
-// certificates hold exactly either way.
+// frontier. An εKDV pixel after the first of its chunk row starts instead
+// from its left neighbour's final cut, re-evaluated at its own centre
+// (core/refinement_stream.h); the seeded reset applies that rule by itself.
+// Frames remain deterministic for any thread count: each chunk's pass runs
+// once, and a chunk row is the unit of claim and stealing, so one worker
+// renders it left to right on one stream, and the row's first pixel seeds
+// from the frontier whatever that stream evaluated before (another chunk's
+// frontier has another identity, and an earlier row of the same chunk
+// another y). They are not bitwise equal to the per-pixel path: whole
+// chunks may be answered from region bounds alone, and seeded pixels stop
+// at other certified intervals. The εKDV/τKDV certificates hold exactly
+// either way.
 //
 // Nothing is cached across frames here: every call renders its frame. The
 // serve layer caches finished frames (serve/frame_cache.h).

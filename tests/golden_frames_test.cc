@@ -13,7 +13,11 @@
 // Coverage: every bound family the renderer dispatches to, per-pixel
 // (NodeBounds::Evaluate only) and tile-shared (EvaluateRegion plus seeded
 // Evaluate), and one 5-d sample so the O(d^2) aggregate path is pinned at a
-// dimension where the outer-product matrix is not trivially small.
+// dimension where the outer-product matrix is not trivially small. The ε
+// tile-shared tuples also pin cut reuse along chunk rows (each pixel after
+// a row's first starts from its left neighbour's final cut;
+// core/refinement_stream.h): their iterations count the steps left after
+// it, and their node evaluations include the re-evaluated cuts.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -156,7 +160,7 @@ TEST(GoldenFramesTest, QuadGaussianEpsPerPixel) {
 TEST(GoldenFramesTest, QuadGaussianEpsTileShared) {
   EXPECT_TRUE(MatchesGolden(
       EpsFrame(KernelType::kGaussian, Method::kQuad, true),
-      {1744250159u, 6912, 355476, 1473693, 288411, 3870, 446, 0, 0, 0, 0}));
+      {2896975132u, 6912, 86149, 1424409, 295788, 3870, 446, 0, 0, 0, 0}));
 }
 
 TEST(GoldenFramesTest, QuadTriangularTauTileShared) {
@@ -180,13 +184,13 @@ TEST(GoldenFramesTest, QuadExponentialTauTileShared) {
 TEST(GoldenFramesTest, QuadEpanechnikovEpsTileShared) {
   EXPECT_TRUE(MatchesGolden(
       EpsFrame(KernelType::kEpanechnikov, Method::kQuad, true),
-      {2938513628u, 6912, 126516, 520769, 101917, 1348, 0, 274, 0, 0, 0}));
+      {3513773470u, 6912, 29403, 487537, 101995, 1348, 0, 274, 0, 0, 0}));
 }
 
 TEST(GoldenFramesTest, KarlGaussianEpsTileShared) {
   EXPECT_TRUE(MatchesGolden(
       EpsFrame(KernelType::kGaussian, Method::kKarl, true),
-      {1650182965u, 6912, 381620, 2016676, 290039, 3870, 460, 0, 0, 0, 0}));
+      {519688979u, 6912, 111931, 1965664, 297918, 3870, 460, 0, 0, 0, 0}));
 }
 
 TEST(GoldenFramesTest, AkdeGaussianEpsPerPixel) {

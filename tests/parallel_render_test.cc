@@ -7,14 +7,19 @@
 // equal work counters, for every operation, thread count and tile size —
 // that is what lets the tiled driver ship certified frames. Beneath it, two
 // refactors carry the same contract at smaller scope: the SoA leaf kernel
-// must match the AoS scalar loop bitwise, and a Reset() scratch stream must
-// be indistinguishable from a freshly constructed one.
+// must match the AoS scalar loop bitwise, and a root-Reset() scratch stream
+// must be indistinguishable from a freshly constructed one. Tile-shared
+// frames are held to certificates against the exact oracle instead, and to
+// bitwise equality across thread counts and with a serial replay of the
+// driver's pixel order (εKDV pixels reuse their left neighbour's cut).
 //
 // Everything here runs clean under ThreadSanitizer; CI's tsan job pulls the
 // suite in via `ctest -L concurrency`.
 #include "viz/parallel_render.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -27,6 +32,7 @@
 #include "core/evaluator.h"
 #include "core/leaf_kernel.h"
 #include "core/refinement_stream.h"
+#include "core/tile_refiner.h"
 #include "data/datasets.h"
 #include "index/kdtree.h"
 #include "stats/density_stats.h"
@@ -483,10 +489,37 @@ TEST(TileSharedTest, OffPathBitIdenticalToOracleForEveryKernel) {
   }
 }
 
+// A viewport of the workbench's data zoomed `zoom`x about the densest
+// centre of an 8x8 lattice over the extent (1x is the whole extent).
+PixelGrid ZoomedGrid(const Workbench& bench, const KdeEvaluator& exact,
+                     double zoom, int width, int height) {
+  const PixelGrid lattice(8, 8, bench.data_bounds());
+  Point center = lattice.PixelCenter(0, 0);
+  double densest = -1.0;
+  for (int y = 0; y < 8; ++y) {
+    for (int x = 0; x < 8; ++x) {
+      const double density = exact.EvaluateExact(lattice.PixelCenter(x, y));
+      if (density > densest) {
+        densest = density;
+        center = lattice.PixelCenter(x, y);
+      }
+    }
+  }
+  Rect view = bench.data_bounds();
+  for (int d = 0; d < 2; ++d) {
+    const double half = 0.5 * view.Length(d) / zoom;
+    view.set_lo(d, center[d] - half);
+    view.set_hi(d, center[d] + half);
+  }
+  return PixelGrid(width, height, view);
+}
+
 // Tile-shared frames return different (but still certified) estimates: every
 // pixel must satisfy the ε certificate against the exact oracle, and the τ
 // mask must match the exact classification. Swept over kernels, thread
-// counts and chunk shapes.
+// counts and chunk shapes; then, for εKDV with cut reuse along chunk rows,
+// over the crime and home analogues at 1x-64x zoom, three ε values and the
+// QUAD Gaussian, KARL Gaussian and QUAD Epanechnikov bounds.
 TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
   const KernelType kernels[] = {KernelType::kGaussian,
                                 KernelType::kEpanechnikov,
@@ -538,6 +571,54 @@ TEST(TileSharedTest, OnPathSatisfiesCertificatesEverywhere) {
       }
     }
   }
+
+  struct Analogue {
+    const char* name;
+    MixtureSpec spec;
+  };
+  struct Bound {
+    KernelType kernel;
+    Method method;
+  };
+  ThreadPool pool({/*num_threads=*/3, /*max_queue=*/16});
+  RenderOptions options;
+  options.num_threads = 4;
+  options.tile_shared = true;
+  uint64_t checked = 0;
+  for (const Analogue& analogue :
+       {Analogue{"crime", CrimeSpec(0.01)}, Analogue{"home", HomeSpec(0.01)}}) {
+    for (const Bound& bound : {Bound{KernelType::kGaussian, Method::kQuad},
+                               Bound{KernelType::kGaussian, Method::kKarl},
+                               Bound{KernelType::kEpanechnikov, Method::kQuad}}) {
+      StatusOr<std::unique_ptr<Workbench>> bench =
+          Workbench::Create(GenerateMixture(analogue.spec), bound.kernel);
+      ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+      const KdeEvaluator exact = (*bench)->MakeEvaluator(Method::kExact);
+      const KdeEvaluator evaluator = (*bench)->MakeEvaluator(bound.method);
+      for (double zoom : {1.0, 4.0, 16.0, 64.0}) {
+        const PixelGrid grid = ZoomedGrid(**bench, exact, zoom, 32, 24);
+        const DensityFrame want = RenderExactFrame(exact, grid, nullptr);
+        for (double frame_eps : {0.001, 0.01, 0.05}) {
+          BatchStats stats;
+          const DensityFrame frame = RenderEpsFrameParallel(
+              evaluator, grid, frame_eps, options, &pool, QueryControl(),
+              &stats);
+          ASSERT_TRUE(stats.completed);
+          EXPECT_EQ(stats.numeric_faults, 0u);
+          for (size_t i = 0; i < want.values.size(); ++i) {
+            const double slack = 1e-9 * (1.0 + want.values[i]);
+            ASSERT_LE(std::abs(frame.values[i] - want.values[i]),
+                      frame_eps * want.values[i] + slack)
+                << analogue.name << " " << KernelTypeName(bound.kernel)
+                << " method " << static_cast<int>(bound.method) << " zoom "
+                << zoom << " eps " << frame_eps << " pixel " << i;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2u * 3u * 4u * 3u * 32u * 24u);
 }
 
 // Every integer work counter of a frame.
@@ -648,8 +729,10 @@ TEST(TileSharedTest, OneChunkFrameRowsAreShared) {
 // analogue (scale 0.005, 128x128 over the data extent) a tile-shared frame
 // evaluates strictly fewer per-pixel node bounds than the per-pixel frame,
 // for εKDV (ε = 0.05) and for τKDV (τ = the mean density), with the same τ
-// mask. One thread suffices: FramesInvariantToThreadCount pins the counters
-// across thread counts.
+// mask. Cut reuse along chunk rows must keep the εKDV frame under half the
+// per-pixel frame's refinement steps (without it, tile-shared took more
+// steps than per-pixel: 391,076 against 365,707). One thread suffices:
+// FramesInvariantToThreadCount pins the counters across thread counts.
 TEST(TileSharedTest, SharedTraversalEvaluatesFewerPixelBounds) {
   StatusOr<std::unique_ptr<Workbench>> bench = Workbench::Create(
       GenerateMixture(CrimeSpec(0.005)), KernelType::kGaussian);
@@ -673,8 +756,128 @@ TEST(TileSharedTest, SharedTraversalEvaluatesFewerPixelBounds) {
     ASSERT_TRUE(eps_stats[shared].completed && tau_stats[shared].completed);
   }
   EXPECT_LT(eps_stats[1].nodes_visited, eps_stats[0].nodes_visited);
+  EXPECT_LT(2 * eps_stats[1].iterations, eps_stats[0].iterations);
   EXPECT_LT(tau_stats[1].nodes_visited, tau_stats[0].nodes_visited);
   EXPECT_EQ(masks[1].values, masks[0].values);
+}
+
+// The frame driver's pixel order, serially, with one stream: chunks in
+// row-major order, each chunk's region pass over the hull of its pixel
+// centres, then its rows top to bottom, each left to right — the order the
+// benchmark's traced replay evaluates pixels in. Cut reuse lives inside the
+// seeded reset, so the replay must equal the driver bitwise, counters
+// included.
+SharedFrame ReplayEpsFrame(const KdeEvaluator& evaluator,
+                           const PixelGrid& grid, double eps, int tile_rows) {
+  const TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                            evaluator.bounds());
+  RefinementStream scratch = evaluator.MakeScratch();
+  const QueryControl control;
+  SharedFrame out;
+  out.values.assign(grid.num_pixels(), 0.0);
+  for (int row_begin = 0; row_begin < grid.height(); row_begin += tile_rows) {
+    const int row_end = std::min(row_begin + tile_rows, grid.height());
+    for (int col_begin = 0; col_begin < grid.width(); col_begin += tile_rows) {
+      const int col_end = std::min(col_begin + tile_rows, grid.width());
+      Rect rect(2);
+      rect.Expand(grid.PixelCenter(col_begin, row_end - 1));
+      rect.Expand(grid.PixelCenter(col_end - 1, row_begin));
+      const TileFrontier tf = refiner.BuildEps(rect, eps);
+      out.stats.tile_nodes_visited += tf.nodes_visited;
+      out.stats.tile_accepted += tf.accepted;
+      out.stats.tile_pruned += tf.pruned;
+      for (int py = row_begin; py < row_end; ++py) {
+        for (int px = col_begin; px < col_end; ++px) {
+          if (tf.valid && tf.decided) {
+            out.values[grid.PixelIndex(px, py)] = tf.decided_value;
+            ++out.stats.queries;
+            ++out.stats.pixels_decided;
+            continue;
+          }
+          const Point q = grid.PixelCenter(px, py);
+          const EvalResult r =
+              tf.valid ? evaluator.EvaluateEpsSeeded(q, eps, tf, control,
+                                                     &scratch)
+                       : evaluator.EvaluateEps(q, eps, control, &scratch);
+          AccumulateQueryStats(&out.stats, r);
+          out.values[grid.PixelIndex(px, py)] = r.estimate;
+        }
+      }
+      if (tf.valid && tf.decided) ++out.stats.tiles_decided;
+    }
+  }
+  return out;
+}
+
+TEST(TileSharedTest, SerialReplayMatchesFrameDriver) {
+  ThreadPool pool({/*num_threads=*/3, /*max_queue=*/16});
+  for (KernelType kernel : {KernelType::kGaussian, KernelType::kEpanechnikov}) {
+    auto bench = MakeBench(kernel);
+    KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+    PixelGrid grid(40, 30, bench->data_bounds());
+    for (int tile_rows : {16, 5}) {
+      const SharedFrame replay =
+          ReplayEpsFrame(evaluator, grid, 0.01, tile_rows);
+      ASSERT_GT(replay.stats.iterations, 0u);
+      for (int threads : {1, 4}) {
+        RenderOptions options;
+        options.num_threads = threads;
+        options.tile_rows = tile_rows;
+        options.tile_shared = true;
+        BatchStats stats;
+        const DensityFrame frame = RenderEpsFrameParallel(
+            evaluator, grid, 0.01, options, &pool, QueryControl(), &stats);
+        const std::string where = std::string(KernelTypeName(kernel)) +
+                                  " rows" + std::to_string(tile_rows) +
+                                  " t" + std::to_string(threads);
+        ASSERT_TRUE(stats.completed) << where;
+        EXPECT_TRUE(FramesBitIdentical(replay.values, frame.values)) << where;
+        ExpectSameCounters(replay.stats, stats, where);
+      }
+    }
+  }
+}
+
+// Viewports with no extent in x, in y or in both put every pixel of a row,
+// of a column or of the frame on one point: no pixel is right of its left
+// neighbour there, or rows stack on one y. Frames must still not depend on
+// the thread count.
+TEST(TileSharedTest, ZeroExtentViewportsInvariantToThreadCount) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  const Rect& extent = bench->data_bounds();
+  ThreadPool pool({/*num_threads=*/3, /*max_queue=*/16});
+  for (int flat = 1; flat <= 3; ++flat) {
+    Rect view = extent;
+    for (int d = 0; d < 2; ++d) {
+      if ((flat >> d & 1) == 0) continue;
+      const double mid = 0.5 * (extent.lo(d) + extent.hi(d));
+      view.set_lo(d, mid);
+      view.set_hi(d, mid);
+    }
+    const PixelGrid grid(24, 20, view);
+    for (bool eps_mode : {true, false}) {
+      SharedFrame want;
+      for (int threads : {1, 4}) {
+        RenderOptions options;
+        options.num_threads = threads;
+        options.tile_rows = 8;
+        options.tile_shared = true;
+        SharedFrame got =
+            RenderSharedFrame(evaluator, grid, eps_mode, options, &pool);
+        const std::string where = "flat" + std::to_string(flat) +
+                                  (eps_mode ? " eps" : " tau") + " t" +
+                                  std::to_string(threads);
+        ASSERT_TRUE(got.stats.completed) << where;
+        if (threads == 1) {
+          want = std::move(got);
+          continue;
+        }
+        EXPECT_TRUE(FramesBitIdentical(want.values, got.values)) << where;
+        ExpectSameCounters(want.stats, got.stats, where);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

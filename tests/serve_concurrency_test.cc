@@ -16,6 +16,7 @@
 #include <cmath>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -401,6 +402,34 @@ TEST_F(RenderServiceTest, StopDrainsEveryAdmittedRequest) {
   ASSERT_FALSE(late.ok());
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service.stats().completed, 24u);
+}
+
+// A request's deadline runs on the service's clock from admission through
+// its certified attempt: under a manual clock that never moves, a 1 ms
+// budget never expires, however long the frame takes in real time.
+TEST_F(RenderServiceTest, AttemptDeadlineRunsOnTheServiceClock) {
+  ManualClock clock;
+  RenderService::Options options;
+  options.num_threads = 1;
+  options.clock = &clock;
+  RenderService service(&evaluator_, options);
+  const PixelGrid big_grid(96, 72, bench_.data_bounds());
+  ServeRequestOptions request;
+  request.eps = 0.01;
+  request.budget_seconds = 1e-3;
+  StatusOr<std::future<ServeOutcome>> t = service.Submit(big_grid, request);
+  ASSERT_TRUE(t.ok());
+  const ServeOutcome outcome = t->get();
+  service.Stop();
+  EXPECT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome.attempts, 1);
+  EXPECT_FALSE(outcome.render.deadline_expired);
+  EXPECT_EQ(outcome.render.tier, QualityTier::kCertified);
+  EXPECT_TRUE(outcome.render.stats.completed);
+  // The frame outlived the budget in real time (its stats are timed on the
+  // process clock), and the service clock never moved.
+  EXPECT_GT(outcome.render.stats.seconds, 1e-3);
+  EXPECT_EQ(clock.NowSeconds(), 0.0);
 }
 
 TEST_F(RenderServiceTest, DeadlineKeepsTickingWhileQueued) {
@@ -1020,8 +1049,30 @@ TEST_F(ServiceChaosTest, BreakerTripsShortCircuitsAndRecovers) {
 // nothing: hits between faulting fresh renders do not reset the fault run,
 // and a half-open probe answered from the cache leaves the breaker
 // half-open until a request actually renders.
+// Service time for tests that both step through breaker cooldowns and need
+// a request's deadline to pass mid-frame: set by the test, and 1 ms later
+// after every read, so a budget of B ms lasts B reads.
+class SteppingClock : public Clock {
+ public:
+  double NowSeconds() const override {
+    std::lock_guard<std::mutex> lock(mu_);
+    const double now = now_;
+    now_ += 1e-3;
+    return now;
+  }
+  void WaitFor(double /*seconds*/, Waker* /*waker*/) override {}
+  void SetTime(double seconds) {
+    std::lock_guard<std::mutex> lock(mu_);
+    now_ = seconds;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable double now_ = 0.0;
+};
+
 TEST_F(ServiceChaosTest, FrameCacheHitsNeitherResetNorCloseTheBreaker) {
-  ManualClock clock;
+  SteppingClock clock;
   RenderService::Options options;
   options.num_threads = 1;
   options.max_attempts = 1;  // one fault per fresh request
@@ -1076,8 +1127,9 @@ TEST_F(ServiceChaosTest, FrameCacheHitsNeitherResetNorCloseTheBreaker) {
   // ...and one whose attempt ran cleanly closes it, even when the deadline
   // cut that attempt short and its stand-in shipped from the cache. A
   // zero-budget request (served before the breaker is consulted) caches
-  // the viewport's stand-in at 3ε; the probe's 1 ns budget, on the
-  // renderer's real clock, cuts its attempt at the first poll.
+  // the viewport's stand-in at 3ε; the probe's 20 ms budget, 20 reads of
+  // the service clock, outlasts its queue check and cuts its attempt within
+  // the frame's first pixels.
   failpoint::Reset();
   const PixelGrid cut_view = fresh();
   ServeRequestOptions skip = request;
@@ -1088,7 +1140,7 @@ TEST_F(ServiceChaosTest, FrameCacheHitsNeitherResetNorCloseTheBreaker) {
   EXPECT_EQ(service.breaker_state(), CircuitBreaker::State::kOpen);
   clock.SetTime(240.0);
   ServeRequestOptions tight = request;
-  tight.budget_seconds = 1e-9;
+  tight.budget_seconds = 0.02;
   const ServeOutcome healed = serve(cut_view, &tight);
   EXPECT_TRUE(healed.ok());
   EXPECT_EQ(healed.attempts, 1);

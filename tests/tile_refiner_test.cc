@@ -14,12 +14,18 @@
 //      hold the same contract over the quadrant each pixel is sent to.
 // Both are checked against brute-force exact sums on randomly placed query
 // rects and query samples, across every approximate method's bound class.
+// The CutReuseTest cases pin when a seeded εKDV stream may start from its
+// previous query's cut (core/refinement_stream.h): only for the right
+// neighbour in a chunk row, under the same frontier, after a healthy query.
 #include "core/tile_refiner.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -30,7 +36,9 @@
 #include "data/datasets.h"
 #include "geom/rect.h"
 #include "index/kdtree.h"
+#include "util/failpoint.h"
 #include "util/random.h"
+#include "viz/pixel_grid.h"
 #include "workbench/workbench.h"
 
 namespace kdv {
@@ -457,6 +465,243 @@ TEST(TileRefinerTest, RespectsVisitBudget) {
     EXPECT_LE(tau_tf.nodes.size(), kTileMaxFrontier + 2u);
   }
   EXPECT_GE(most_visits, kTileMaxNodesVisited);  // the cap did bind
+}
+
+// ---------------------------------------------------------------------------
+// Cut reuse along chunk rows
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t out;
+  std::memcpy(&out, &v, sizeof(out));
+  return out;
+}
+
+// Two evaluations are the same bit for bit, work included.
+void ExpectSameResult(const EvalResult& want, const EvalResult& got,
+                      const std::string& where) {
+  EXPECT_EQ(Bits(got.estimate), Bits(want.estimate)) << where;
+  EXPECT_EQ(Bits(got.lower), Bits(want.lower)) << where;
+  EXPECT_EQ(Bits(got.upper), Bits(want.upper)) << where;
+  EXPECT_EQ(got.iterations, want.iterations) << where;
+  EXPECT_EQ(got.points_scanned, want.points_scanned) << where;
+  EXPECT_EQ(got.node_evals, want.node_evals) << where;
+  EXPECT_EQ(got.converged, want.converged) << where;
+  EXPECT_EQ(got.numeric_fault, want.numeric_fault) << where;
+}
+
+// Pixel columns [col_begin, col_end) x rows [row_begin, row_end) of a grid,
+// as the frame driver cuts chunks; Rect() is the hull of their pixel
+// centres, the region of the chunk's pass.
+struct GridChunk {
+  const PixelGrid* grid;
+  int col_begin, col_end, row_begin, row_end;
+  Rect rect() const {
+    Rect r(2);
+    r.Expand(grid->PixelCenter(col_begin, row_end - 1));
+    r.Expand(grid->PixelCenter(col_end - 1, row_begin));
+    return r;
+  }
+};
+
+// The εKDV evaluation of pixel (px, py) by a stream nothing has used.
+EvalResult FreshSeeded(const KdeEvaluator& evaluator, const PixelGrid& grid,
+                       int px, int py, double eps, const TileFrontier& tf) {
+  RefinementStream fresh = evaluator.MakeScratch();
+  return evaluator.EvaluateEpsSeeded(grid.PixelCenter(px, py), eps, tf,
+                                     QueryControl(), &fresh);
+}
+
+// Every chunk row's first pixel primes from the frontier exactly as a
+// fresh stream does, whatever the stream evaluated before (here the last
+// pixel of the row above, or of the chunk before). The pixels after it
+// start from their left neighbour's cut: together they take fewer steps
+// than fresh streams would, and each keeps its certificate.
+TEST(CutReuseTest, RowsStartFreshAndLaterPixelsReuseTheCut) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                      evaluator.bounds());
+  const PixelGrid grid(32, 32, bench->data_bounds());
+  RefinementStream scratch = evaluator.MakeScratch();
+  const double eps = 0.01;
+  int rows = 0;
+  uint64_t reused_steps = 0;
+  uint64_t fresh_steps = 0;
+  for (int row_begin : {0, 16}) {
+    for (int col_begin : {0, 16}) {
+      const GridChunk chunk{&grid, col_begin, col_begin + 16, row_begin,
+                            row_begin + 16};
+      const TileFrontier tf = refiner.BuildEps(chunk.rect(), eps);
+      if (!tf.valid || tf.decided) continue;
+      EXPECT_NE(tf.id, 0u);
+      for (int py = chunk.row_begin; py < chunk.row_end; ++py) {
+        for (int px = chunk.col_begin; px < chunk.col_end; ++px) {
+          const Point q = grid.PixelCenter(px, py);
+          const EvalResult r = evaluator.EvaluateEpsSeeded(
+              q, eps, tf, QueryControl(), &scratch);
+          const EvalResult fresh =
+              FreshSeeded(evaluator, grid, px, py, eps, tf);
+          if (px == chunk.col_begin) {
+            ++rows;
+            ExpectSameResult(fresh, r, "row " + std::to_string(py) +
+                                           " col " + std::to_string(px));
+          } else {
+            reused_steps += r.iterations;
+            fresh_steps += fresh.iterations;
+          }
+          const double exact = evaluator.EvaluateExact(q);
+          EXPECT_LE(std::abs(r.estimate - exact),
+                    eps * exact + 1e-9 * (1.0 + exact));
+        }
+      }
+    }
+  }
+  EXPECT_GT(rows, 0);
+  EXPECT_LT(reused_steps, fresh_steps);
+}
+
+// A cut never crosses frontiers: the next chunk of the same pixel row, and
+// the same chunk's frontier rebuilt in place (the next frame's pass, at the
+// same address), both seed fresh. The same frontier left alone reuses.
+TEST(CutReuseTest, CutsNeverCrossFrontiers) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                      evaluator.bounds());
+  const PixelGrid grid(32, 16, bench->data_bounds());
+  const GridChunk left{&grid, 0, 16, 0, 16};
+  const GridChunk right{&grid, 16, 32, 0, 16};
+  const double eps = 0.01;
+  RefinementStream scratch = evaluator.MakeScratch();
+  const QueryControl control;
+  TileFrontier tf = refiner.BuildEps(left.rect(), eps);
+  const TileFrontier next = refiner.BuildEps(right.rect(), eps);
+  ASSERT_TRUE(tf.valid && !tf.decided && next.valid && !next.decided);
+  ASSERT_NE(tf.id, next.id);
+  int differs = 0;
+  for (int py = 0; py < 16; ++py) {
+    // The left chunk's last pixel of the row, then the right chunk's first,
+    // one pixel further right.
+    evaluator.EvaluateEpsSeeded(grid.PixelCenter(15, py), eps, tf, control,
+                                &scratch);
+    ExpectSameResult(
+        FreshSeeded(evaluator, grid, 16, py, eps, next),
+        evaluator.EvaluateEpsSeeded(grid.PixelCenter(16, py), eps, next,
+                                    control, &scratch),
+        "next chunk, row " + std::to_string(py));
+
+    // Pixel 0 on the frontier, which is then rebuilt in place, then pixel 1.
+    evaluator.EvaluateEpsSeeded(grid.PixelCenter(0, py), eps, tf, control,
+                                &scratch);
+    const TileFrontier* address = &tf;
+    tf = refiner.BuildEps(left.rect(), eps);
+    ASSERT_EQ(&tf, address);
+    ExpectSameResult(
+        FreshSeeded(evaluator, grid, 1, py, eps, tf),
+        evaluator.EvaluateEpsSeeded(grid.PixelCenter(1, py), eps, tf, control,
+                                    &scratch),
+        "rebuilt frontier, row " + std::to_string(py));
+
+    // Left alone, the frontier passes pixel 1's cut on to pixel 2.
+    const EvalResult reused = evaluator.EvaluateEpsSeeded(
+        grid.PixelCenter(2, py), eps, tf, control, &scratch);
+    const EvalResult fresh = FreshSeeded(evaluator, grid, 2, py, eps, tf);
+    if (reused.iterations != fresh.iterations ||
+        reused.node_evals != fresh.node_evals) {
+      ++differs;
+    }
+  }
+  EXPECT_GT(differs, 0);
+}
+
+// τ frontiers carry no identity, so τ seeded resets never reuse a cut:
+// every pixel of a chunk row, evaluated in row order on one stream, equals
+// a fresh stream's answer bit for bit.
+TEST(CutReuseTest, TauSeededResetsNeverReuse) {
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                      evaluator.bounds());
+  const PixelGrid grid(32, 32, bench->data_bounds());
+  RefinementStream scratch = evaluator.MakeScratch();
+  const QueryControl control;
+  const double tau = 0.3;
+  uint64_t steps = 0;
+  for (int row_begin : {0, 16}) {
+    for (int col_begin : {0, 16}) {
+      const GridChunk chunk{&grid, col_begin, col_begin + 16, row_begin,
+                            row_begin + 16};
+      const TileFrontier tf = refiner.BuildTau(chunk.rect(), tau);
+      EXPECT_EQ(tf.id, 0u);
+      if (!tf.valid || tf.decided) continue;
+      for (int py = chunk.row_begin; py < chunk.row_end; ++py) {
+        for (int px = chunk.col_begin; px < chunk.col_end; ++px) {
+          const Point q = grid.PixelCenter(px, py);
+          const TauResult r =
+              evaluator.EvaluateTauSeeded(q, tau, tf, control, &scratch);
+          RefinementStream fresh_stream = evaluator.MakeScratch();
+          const TauResult fresh =
+              evaluator.EvaluateTauSeeded(q, tau, tf, control, &fresh_stream);
+          ASSERT_EQ(r.above_threshold, fresh.above_threshold);
+          ASSERT_EQ(Bits(r.lower), Bits(fresh.lower));
+          ASSERT_EQ(Bits(r.upper), Bits(fresh.upper));
+          ASSERT_EQ(r.iterations, fresh.iterations);
+          ASSERT_EQ(r.node_evals, fresh.node_evals);
+          ASSERT_EQ(r.points_scanned, fresh.points_scanned);
+          steps += r.iterations;
+        }
+      }
+    }
+  }
+  EXPECT_GT(steps, 0u);  // the rows carried real refinement
+}
+
+// Failpoints build: a NaN bound poisons a pixel, in its own refinement
+// steps (a row's first pixel) or while its inherited cut is re-evaluated
+// (a later one). The pixel after it seeds fresh and is certified.
+TEST(CutReuseTest, PixelAfterPoisonedOneSeedsFresh) {
+  if (!failpoint::enabled()) {
+    GTEST_SKIP() << "failpoints not compiled in (build with "
+                    "-DKDV_FAILPOINTS=ON)";
+  }
+  failpoint::Reset();
+  auto bench = MakeBench();
+  KdeEvaluator evaluator = bench->MakeEvaluator(Method::kQuad);
+  TileRefiner refiner(&evaluator.tree(), evaluator.params(),
+                      evaluator.bounds());
+  const PixelGrid grid(16, 16, bench->data_bounds());
+  const GridChunk chunk{&grid, 0, 16, 0, 16};
+  const double eps = 0.01;
+  const TileFrontier tf = refiner.BuildEps(chunk.rect(), eps);
+  ASSERT_TRUE(tf.valid && !tf.decided);
+  RefinementStream scratch = evaluator.MakeScratch();
+  const QueryControl control;
+  auto eval = [&](int px, int py) {
+    return evaluator.EvaluateEpsSeeded(grid.PixelCenter(px, py), eps, tf,
+                                       control, &scratch);
+  };
+  for (int poisoned_col : {0, 1}) {
+    const int py = 4 + poisoned_col;
+    if (poisoned_col == 1) {
+      ASSERT_FALSE(eval(0, py).numeric_fault);
+    }
+    ASSERT_TRUE(failpoint::Arm("refine.step", failpoint::Action::kNaN,
+                               /*delay_ms=*/0, /*max_hits=*/1)
+                    .ok());
+    EXPECT_TRUE(eval(poisoned_col, py).numeric_fault) << poisoned_col;
+    EXPECT_EQ(failpoint::hits("refine.step"), 1u);
+    failpoint::Reset();
+
+    const int px = poisoned_col + 1;
+    const EvalResult after = eval(px, py);
+    ExpectSameResult(FreshSeeded(evaluator, grid, px, py, eps, tf), after,
+                     "after poisoned column " + std::to_string(poisoned_col));
+    EXPECT_FALSE(after.numeric_fault);
+    const double exact = evaluator.EvaluateExact(grid.PixelCenter(px, py));
+    EXPECT_LE(std::abs(after.estimate - exact),
+              eps * exact + 1e-9 * (1.0 + exact));
+  }
 }
 
 }  // namespace

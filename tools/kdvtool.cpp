@@ -298,7 +298,9 @@ int CmdInfo(const Flags& flags) {
 }
 
 // Budgeted render path: QUAD under --budget-ms with the degradation ladder
-// (or fail-fast with exit code 3 under --on-deadline=fail).
+// (or fail-fast with exit code 3 under --on-deadline=fail). A render that
+// did not succeed writes no frame and prints nothing to stdout: only the
+// error, on stderr, and the --metrics-out artifact.
 int CmdRenderBudgeted(const Flags& flags, Session* s, double eps) {
   const double budget_ms = flags.Double("budget-ms");
   KdeEvaluator evaluator = s->bench->MakeEvaluator(s->method);
@@ -314,6 +316,11 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps) {
   Timer timer;
   RenderOutcome outcome = renderer.Render(grid, options);
   const double seconds = timer.ElapsedSeconds();
+  if (!outcome.ok()) {
+    (void)MaybeWriteMetricsOut(flags);
+    PrintStatus(outcome.status);
+    return outcome.status.code() == StatusCode::kDeadlineExceeded ? 3 : 1;
+  }
 
   const std::string& out = flags.String("out");
   if (!RenderHeatMap(outcome.frame).WritePpm(out)) {
@@ -355,12 +362,7 @@ int CmdRenderBudgeted(const Flags& flags, Session* s, double eps) {
         outcome.deadline_expired ? " (deadline expired)" : "", seconds,
         out.c_str());
   }
-  const int metrics_rc = MaybeWriteMetricsOut(flags);
-  if (!outcome.ok()) {
-    PrintStatus(outcome.status);
-    return outcome.status.code() == StatusCode::kDeadlineExceeded ? 3 : 1;
-  }
-  return metrics_rc;
+  return MaybeWriteMetricsOut(flags);
 }
 
 int CmdRender(const Flags& flags) {
